@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import sys
-import zlib
 from typing import Iterator, Sequence, TextIO
 
 from .covers import bound_from_cover, find_spdc, validate_pdc, write_cover
@@ -33,12 +32,12 @@ from .graphs import (
     enumerate_graphs,
     parse_graph6,
     parse_weighted_graph,
-    seeded_weights,
     write_graph6,
 )
 from .matching import gallai_edmonds, k_closure
 from .rationals import format_rational
 from .stats import (
+    TABLE_CAP,
     clique_path_profile,
     clique_star_profile,
     cycle_profile,
@@ -51,16 +50,12 @@ from .stats import (
 )
 from .verify import (
     ALL_THEOREMS,
-    _WEIGHTED,
-    _absorb,
-    CorpusConfig,
-    CorpusResult,
-    TheoremSummary,
+    CSV_FIELDS,
     is_counterexample,
-    reports_for_graph,
     report_csv_row,
     verify_corpus,
-    CSV_FIELDS,
+    weightings,
+    worker_count,
 )
 
 _SLOW_N = 8
@@ -84,17 +79,27 @@ def _read_text(path: str | None) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _read_graphs(path: str | None) -> list[Graph]:
+def _read_graphs(path: str | None, capped: bool = False) -> list[Graph]:
     graphs = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            graphs.append(parse_graph6(line))
+            g = parse_graph6(line)
         except ValueError as exc:
             raise UsageError(f"line {lineno}: {exc}") from None
+        graphs.append(_capped(g, f"line {lineno}: {line}") if capped else g)
     return graphs
+
+
+def _capped(g: Graph, where: str) -> Graph:
+    """g, if it is within the n <= TABLE_CAP reach of the subset-DP engines."""
+    if g.n > TABLE_CAP:
+        raise UsageError(
+            f"{where} has {g.n} vertices; this command supports n <= {TABLE_CAP}"
+        )
+    return g
 
 
 def _open_output(path: str | None) -> TextIO:
@@ -152,26 +157,29 @@ def _parse_s_list(spec: str) -> tuple[int, ...]:
     return vals
 
 
-def _weighting_for(
-    g: Graph, mode: str, seed: int | None, trial: int = 0
-) -> tuple[WeightedGraph, str]:
-    if mode == "unit":
-        return WeightedGraph.unit(g), "unit"
-    if mode == "random":
-        if seed is None:
-            raise UsageError("--weights random requires --seed")
-        derived = zlib.crc32(f"{seed}|{write_graph6(g)}|{trial}".encode())
-        return seeded_weights(g, derived), f"seed={seed};trial={trial};rng={derived}"
-    raise UsageError(f"unknown weight mode {mode!r}")
-
-
-def _load_weighted_file(path: str | None) -> WeightedGraph:
+def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
+    """--weights as `weightings` takes it: the mode name, or for "file" the
+    weighted graph read from --weights-file."""
+    if args.weights != "file":
+        return args.weights
+    path = args.weights_file
     if path is None:
         raise UsageError("--weights file requires --weights-file")
     try:
         return parse_weighted_graph(_read_text(path))
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _weighting(
+    g: Graph, weights: str | WeightedGraph, seed: int | None
+) -> tuple[WeightedGraph, str]:
+    """The one weighting of g that `stats --stat w_p` and `spdc` report on."""
+    if isinstance(weights, WeightedGraph) and weights.graph != g:
+        raise UsageError("--weights-file graph differs from input graph")
+    if weights == "random" and seed is None:
+        raise UsageError("--weights random requires --seed")
+    return weightings(g, weights, seed)[0]
 
 
 def _edge_label(e: tuple[int, int]) -> str:
@@ -223,7 +231,9 @@ _EDGE_STATS = {
 }
 
 
-def _stat_records(args: argparse.Namespace, graphs: list[Graph]) -> Iterator[dict]:
+def _stat_records(
+    args: argparse.Namespace, graphs: list[Graph], weights: str | WeightedGraph
+) -> Iterator[dict]:
     for g in graphs:
         g6 = write_graph6(g)
         base = {"graph6": g6, "stat": args.stat}
@@ -247,13 +257,7 @@ def _stat_records(args: argparse.Namespace, graphs: list[Graph]) -> Iterator[dic
                     "value": str(prof.values[e]),
                 }
         elif args.stat == "w_p":
-            if args.weights == "file":
-                wg = _load_weighted_file(args.weights_file)
-                if write_graph6(wg.graph) != g6:
-                    raise UsageError("--weights-file graph differs from input graph")
-                label = "file"
-            else:
-                wg, label = _weighting_for(g, args.weights, args.seed)
+            wg, label = _weighting(g, weights, args.seed)
             prof = weighted_path_profile(wg)
             for e in g.edges:
                 yield base | {
@@ -273,33 +277,18 @@ def _stat_records(args: argparse.Namespace, graphs: list[Graph]) -> Iterator[dic
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.weights == "file":
-        wg = _load_weighted_file(args.weights_file)
-        graphs = [wg.graph]
+    weights = _load_weights(args)
+    if isinstance(weights, WeightedGraph):
+        graphs = [_capped(weights.graph, args.weights_file)]
     else:
-        graphs = _read_graphs(args.input)
+        graphs = _read_graphs(args.input, capped=True)
     fields = ("graph6", "stat", "item", "root", "s", "weights", "value")
     out = _open_output(args.output)
     try:
-        _emit_records(_stat_records(args, graphs), fields, args.format, out)
+        _emit_records(_stat_records(args, graphs, weights), fields, args.format, out)
     finally:
         _close_output(out)
     return 0
-
-
-def _verify_from_file_weights(args: argparse.Namespace, theorems: list[str], roots):
-    """Single weighted graph from disk; weighted verifiers use its weights."""
-    wg = _load_weighted_file(args.weights_file)
-    cfg = CorpusConfig(
-        theorems=tuple(t for t in theorems if t not in _WEIGHTED),
-        roots=roots,
-        s_values=_parse_s_list(args.s),
-    )
-    reports = reports_for_graph(wg.graph, cfg)
-    for thm in theorems:
-        if thm in _WEIGHTED:
-            reports.append(_WEIGHTED[thm](wg, "file"))
-    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -312,6 +301,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"bad --roots value {args.roots!r}") from None
     if args.weights == "random" and args.seed is None:
         raise UsageError("--weights random requires --seed")
+    try:
+        jobs = worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    s_values = _parse_s_list(args.s)
+    weights = _load_weights(args)
+    if isinstance(weights, WeightedGraph):
+        corpus = dict(graphs=[_capped(weights.graph, args.weights_file)])
+    elif args.input is not None:
+        corpus = dict(graphs=_read_graphs(args.input, capped=True))
+    else:
+        corpus = dict(ns=_parse_n_spec(args.n, args.allow_slow),
+                      connected_only=args.connected)
 
     out = _open_output(args.output)
     writer = csv.writer(out, lineterminator="\n") if args.format == "csv" else None
@@ -328,32 +330,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             writer.writerow(report_csv_row(rep))
 
     try:
-        if args.weights == "file":
-            reports = _verify_from_file_weights(args, theorems, roots)
-            summaries = {t: TheoremSummary(t) for t in theorems}
-            failures: list[str] = []
-            for rep in reports:
-                _absorb(summaries[rep.theorem], rep, failures)
-                sink(rep)
-            result = CorpusResult(summaries, failures)
-        else:
-            kwargs = dict(
-                roots=roots,
-                s_values=_parse_s_list(args.s),
-                weights=args.weights,
-                seed=args.seed,
-                trials=args.trials,
-                on_report=sink,
-            )
-            if args.input is not None:
-                result = verify_corpus(
-                    theorems, graphs=_read_graphs(args.input), **kwargs
-                )
-            else:
-                ns = _parse_n_spec(args.n, args.allow_slow)
-                result = verify_corpus(
-                    theorems, ns, connected_only=args.connected, **kwargs
-                )
+        result = verify_corpus(
+            theorems,
+            roots=roots,
+            s_values=s_values,
+            weights=weights,
+            seed=args.seed,
+            trials=args.trials,
+            jobs=jobs,
+            on_report=sink,
+            **corpus,
+        )
 
         if args.format == "json":
             out.write(json.dumps({"aggregate": result.to_dict()}) + "\n")
@@ -385,6 +372,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spdc(args: argparse.Namespace) -> int:
+    weights = _load_weights(args)
     graphs = _read_graphs(args.input)
     records = []
     covers = []
@@ -397,13 +385,7 @@ def cmd_spdc(args: argparse.Namespace) -> int:
         if not validate_pdc(g, cover).valid:
             raise RuntimeError(f"{g6}: constructed cover failed validation")
         covers.append(cover)
-        if args.weights == "file":
-            wg = _load_weighted_file(args.weights_file)
-            if write_graph6(wg.graph) != g6:
-                raise UsageError("--weights-file graph differs from input graph")
-            label = "file"
-        else:
-            wg, label = _weighting_for(g, args.weights, args.seed)
+        wg, label = _weighting(g, weights, args.seed)
         bound = bound_from_cover(wg, cover)
         records.append(
             {
@@ -466,7 +448,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_ge(args: argparse.Namespace) -> int:
-    graphs = _read_graphs(args.input)
+    graphs = _read_graphs(args.input, capped=True)
     records = []
     for g in graphs:
         dec = gallai_edmonds(g)

@@ -282,11 +282,15 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 # connectivity and cut structure
 
 
-def _component_masks(g: Graph) -> list[int]:
+def component_masks(g: Graph, within: int | None = None) -> list[int]:
+    """Vertex masks of the components of g, or of g[within] for a vertex
+    mask `within`, in order of their least vertex."""
+    if within is None:
+        within = (1 << g.n) - 1
     seen = 0
     out = []
     for v in range(g.n):
-        if seen >> v & 1:
+        if not within >> v & 1 or seen >> v & 1:
             continue
         comp = 1 << v
         frontier = 1 << v
@@ -296,7 +300,7 @@ def _component_masks(g: Graph) -> list[int]:
             while f:
                 low = f & -f
                 f ^= low
-                nxt |= g.adj[low.bit_length() - 1]
+                nxt |= g.adj[low.bit_length() - 1] & within
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
@@ -304,7 +308,8 @@ def _component_masks(g: Graph) -> list[int]:
     return out
 
 
-def _mask_vertices(mask: int) -> list[int]:
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices in a vertex mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -314,11 +319,11 @@ def _mask_vertices(mask: int) -> list[int]:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    return [_mask_vertices(m) for m in _component_masks(g)]
+    return [mask_vertices(m) for m in component_masks(g)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_component_masks(g)) <= 1
+    return len(component_masks(g)) <= 1
 
 
 def cut_vertices(g: Graph) -> list[int]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graphs import Graph, induced_subgraph
-from .stats import _match_table, matching_number
+from .graphs import Graph, component_masks, induced_subgraph, mask_vertices
+from .stats import match_table, matching_number
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -33,7 +33,7 @@ def is_factor_critical(g: Graph) -> bool:
         return True
     if g.n % 2 == 0:
         return False
-    table = _match_table(g)
+    table = match_table(g)
     full = (1 << g.n) - 1
     half = (g.n - 1) // 2
     return all(table[full ^ (1 << v)] == half for v in range(g.n))
@@ -47,38 +47,6 @@ class GEDecomposition:
     a: tuple[int, ...]
     c: tuple[int, ...]
     d_components: tuple[tuple[int, ...], ...]
-
-
-def _components_within(g: Graph, mask: int) -> list[int]:
-    comps = []
-    seen = 0
-    for v in range(g.n):
-        bit = 1 << v
-        if not mask & bit or seen & bit:
-            continue
-        comp = bit
-        frontier = bit
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= g.adj[low.bit_length() - 1] & mask
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
 
 
 def _a_matches_into_components(g: Graph, a: tuple[int, ...], comp_masks: list[int]) -> bool:
@@ -100,7 +68,7 @@ def _a_matches_into_components(g: Graph, a: tuple[int, ...], comp_masks: list[in
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
     """The D/A/C decomposition, structurally re-verified before returning."""
-    table = _match_table(g)
+    table = match_table(g)
     full = (1 << g.n) - 1
     mu = table[full] if g.n else 0
     dmask = 0
@@ -112,13 +80,13 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
         if not dmask >> v & 1 and g.adj[v] & dmask:
             amask |= 1 << v
     cmask = full & ~dmask & ~amask
-    comp_masks = _components_within(g, dmask)
-    d = _mask_vertices(dmask)
-    a = _mask_vertices(amask)
-    c = _mask_vertices(cmask)
+    comp_masks = component_masks(g, dmask)
+    d = tuple(mask_vertices(dmask))
+    a = tuple(mask_vertices(amask))
+    c = tuple(mask_vertices(cmask))
 
     for m in comp_masks:
-        if not is_factor_critical(induced_subgraph(g, _mask_vertices(m))):
+        if not is_factor_critical(induced_subgraph(g, mask_vertices(m))):
             raise RuntimeError("decomposition re-verification failed: D component not factor-critical")
     csub = induced_subgraph(g, c)
     if 2 * matching_number(csub) != csub.n:
@@ -128,7 +96,7 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
     if g.n - 2 * mu != len(comp_masks) - len(a):
         raise RuntimeError("decomposition re-verification failed: deficiency identity broken")
 
-    return GEDecomposition(d, a, c, tuple(_mask_vertices(m) for m in comp_masks))
+    return GEDecomposition(d, a, c, tuple(tuple(mask_vertices(m)) for m in comp_masks))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +168,7 @@ def _maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             x |= low
 
     bk(0, (1 << g.n) - 1, 0)
-    return sorted(_mask_vertices(m) for m in out)
+    return sorted(tuple(mask_vertices(m)) for m in out)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from operator import or_
 
 from .graphs import Graph, WeightedGraph, induced_subgraph, is_connected
 
-_TABLE_CAP = 12
+TABLE_CAP = 12
 
 EDGE_STAT_KINDS = ("p", "c", "p_v", "mu", "s", "w_p")
 CLIQUE_STAT_KINDS = ("p_S", "s_K")
@@ -115,8 +115,8 @@ class PathEngine:
     """Per-graph subset-DP tables answering exact path queries."""
 
     def __init__(self, g: Graph):
-        if g.n > _TABLE_CAP:
-            raise ValueError(f"subset-DP statistics support n <= {_TABLE_CAP}, got {g.n}")
+        if g.n > TABLE_CAP:
+            raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {g.n}")
         self.g = g
         self.n = g.n
         self.full = (1 << g.n) - 1
@@ -311,10 +311,10 @@ def star_profile(g: Graph) -> EdgeStatProfile:
 
 
 @lru_cache(maxsize=2048)
-def _match_table(g: Graph) -> tuple[int, ...]:
+def match_table(g: Graph) -> tuple[int, ...]:
     """table[mask]: maximum matching size of the induced subgraph on mask."""
-    if g.n > _TABLE_CAP:
-        raise ValueError(f"matching tables support n <= {_TABLE_CAP}, got {g.n}")
+    if g.n > TABLE_CAP:
+        raise ValueError(f"matching tables support n <= {TABLE_CAP}, got {g.n}")
     size = 1 << g.n
     table = [0] * size
     adj = g.adj
@@ -335,12 +335,12 @@ def _match_table(g: Graph) -> tuple[int, ...]:
 
 
 def matching_number(g: Graph) -> int:
-    return _match_table(g)[(1 << g.n) - 1] if g.n else 0
+    return match_table(g)[(1 << g.n) - 1] if g.n else 0
 
 
 def max_matching(g: Graph) -> list[tuple[int, int]]:
     """One maximum matching, reconstructed deterministically from the table."""
-    table = _match_table(g)
+    table = match_table(g)
     mask = (1 << g.n) - 1
     out: list[tuple[int, int]] = []
     while mask:
@@ -364,7 +364,7 @@ def max_matching(g: Graph) -> list[tuple[int, int]]:
 def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
     """mu(e): size of a largest matching that uses e; equals 1 + mu(G - u - v)."""
     u, v = g.check_edge(e)
-    table = _match_table(g)
+    table = match_table(g)
     return 1 + table[((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)]
 
 
@@ -560,8 +560,8 @@ def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
     """
     g = wg.graph
     n = g.n
-    if n > _TABLE_CAP:
-        raise ValueError(f"subset-DP statistics support n <= {_TABLE_CAP}, got {n}")
+    if n > TABLE_CAP:
+        raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {n}")
     best: Fraction | None = None
     for r in range(n):
         tables: dict[int, dict[int, Fraction]] = {1 << r: {r: Fraction(0)}}

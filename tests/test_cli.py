@@ -7,6 +7,7 @@ the console-script mapping in pyproject.toml.  Where the console script is
 installed, it is run as well.
 """
 
+import ast
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from locturan.graphs import (
     Graph,
     WeightedGraph,
     complete_graph,
+    parse_graph6,
     star_graph,
     write_graph6,
     write_weighted_graph,
@@ -56,6 +58,10 @@ def run_cli(argv, stdin=""):
 TRI_WEIGHTS = write_weighted_graph(
     WeightedGraph(complete_graph(3), {(0, 1): 1, (1, 2): 1, (0, 2): 0})
 )
+
+# a valid graph6 line: 13 vertices and the one edge 0-1, one vertex past
+# the n <= 12 reach of the subset-DP engines
+OVER_CAP = "L_????????????"
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,14 @@ def test_stats_input_errors_carry_line_numbers(tmp_path):
     assert code == 2 and "line 4" in err
 
 
+def test_stats_rejects_over_cap_graph():
+    for stat in ("p", "mu"):
+        code, out, err = run_cli(["stats", "--stat", stat], stdin=f"Bw\n{OVER_CAP}\n")
+        assert code == 2 and out == ""
+        assert err == f"error: line 2: {OVER_CAP} has 13 vertices; " \
+            "this command supports n <= 12\n"
+
+
 def test_stats_missing_input_file():
     code, _, err = run_cli(["stats", "--stat", "p", "--input", "/no/such/file"])
     assert code == 2 and "cannot read" in err
@@ -261,6 +275,65 @@ def test_verify_single_root_and_bad_root():
         ["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", "x"]
     )
     assert code == 2 and "bad --roots" in err
+
+
+def test_verify_rejects_over_cap_graph():
+    code, out, err = run_cli(
+        ["verify", "--theorem", "mt", "--input", "-"], stdin=f"{OVER_CAP}\n"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: {OVER_CAP} has 13 vertices; " \
+        "this command supports n <= 12\n"
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_verify_rejects_non_integer_worker_count(monkeypatch, value):
+    monkeypatch.setenv("LOCTURAN_THREADS", value)
+    code, out, err = run_cli(["verify", "--theorem", "mt", "--n", "3"])
+    assert code == 2 and out == ""
+    assert err == f"error: LOCTURAN_THREADS must be an integer, got {value!r}\n"
+
+
+def test_verify_weights_file_and_input_share_one_path(tmp_path):
+    """A unit-weight file takes the same driver path as the graph itself."""
+    g = parse_graph6("Cz")  # the diamond: every kind of theorem runs on it
+    wfile = tmp_path / "paw.wg"
+    wfile.write_text(write_weighted_graph(WeightedGraph.unit(g)))
+    order = ["fmr", "mt", "local-bbrs", "weighted-mt", "delta", "bondy-fan"]
+    common = ["verify", "--theorem", ",".join(order), "--format", "json"]
+    code, by_file, _ = run_cli(
+        common + ["--weights", "file", "--weights-file", str(wfile)]
+    )
+    assert code == 0
+    code, by_input, _ = run_cli(common + ["--input", "-"], stdin=write_graph6(g) + "\n")
+    assert code == 0
+    file_recs = [json.loads(line) for line in by_file.splitlines()[:-1]]
+    input_recs = [json.loads(line) for line in by_input.splitlines()[:-1]]
+    assert [r.pop("weights") for r in file_recs] == [
+        "file" if r["theorem"] in ("fmr", "weighted-mt", "bondy-fan") else None
+        for r in file_recs
+    ]
+    for r in input_recs:
+        r.pop("weights")
+    assert file_recs == input_recs
+    theorems = [r["theorem"] for r in file_recs]
+    assert [t for i, t in enumerate(theorems) if t not in theorems[:i]] == order
+
+
+def test_package_modules_import_no_private_names():
+    """No module of the package imports an underscore name from a sibling."""
+    package = Path(locturan.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            sibling = node.level > 0 or (node.module or "").startswith("locturan")
+            offenders += [
+                f"{path.name}: {alias.name}" for alias in node.names
+                if sibling and alias.name.startswith("_")
+            ]
+    assert offenders == []
 
 
 def test_verify_rejects_unknown_theorem():
@@ -397,6 +470,13 @@ def test_ge_partition_record():
         "matching_number": 1,
         "deficiency": 2,
     }
+
+
+def test_ge_rejects_over_cap_graph():
+    code, out, err = run_cli(["ge"], stdin=f"# comment\n{OVER_CAP}\n")
+    assert code == 2 and out == ""
+    assert err == f"error: line 2: {OVER_CAP} has 13 vertices; " \
+        "this command supports n <= 12\n"
 
 
 def test_ge_text_omits_empty_parts():

@@ -46,6 +46,7 @@ from locturan.verify import (
     verify_weighted_mt,
     verify_zz_cycle,
     is_disjoint_union_of_cliques,
+    weightings,
 )
 
 
@@ -624,17 +625,20 @@ def test_corpus_report_order_is_config_order():
 
 def test_corpus_random_weight_labels_are_reproducible():
     g = complete_graph(3)
-    result = verify_corpus(
-        ("fmr",), graphs=[g], weights="random", seed=7, trials=2, keep_reports=True
+    reports = []
+    verify_corpus(
+        ("fmr",), graphs=[g], weights="random", seed=7, trials=2,
+        on_report=reports.append,
     )
-    labels = [r.weights for r in result.reports]
+    labels = [r.weights for r in reports]
     expected = [
         f"seed=7;trial={t};rng={zlib.crc32(f'7|Bw|{t}'.encode())}" for t in (0, 1)
     ]
     assert labels == expected
-    again = verify_corpus(("fmr",), graphs=[g], weights="random", seed=7, trials=2,
-                          keep_reports=True)
-    assert [r.to_dict() for r in again.reports] == [r.to_dict() for r in result.reports]
+    again = []
+    verify_corpus(("fmr",), graphs=[g], weights="random", seed=7, trials=2,
+                  on_report=again.append)
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
 
 
 def test_corpus_random_weights_require_seed():
@@ -642,6 +646,13 @@ def test_corpus_random_weights_require_seed():
         verify_corpus(("fmr",), graphs=[complete_graph(3)], weights="random")
     with pytest.raises(ValueError):
         verify_corpus(("fmr",), graphs=[complete_graph(3)], weights="nonsense")
+
+
+def test_weightings_fixed_graph_is_labelled_file_and_must_match():
+    wg = WeightedGraph.unit(complete_graph(3))
+    assert weightings(complete_graph(3), wg, trials=3) == [(wg, "file")]
+    with pytest.raises(ValueError):
+        weightings(path_graph(3), wg)
 
 
 def test_corpus_rejects_unknown_theorem():
@@ -656,13 +667,15 @@ def test_corpus_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
-def test_corpus_on_report_and_keep_reports():
+def test_corpus_on_report_streams_every_report():
+    from locturan.graphs import enumerate_graphs
+
     seen = []
-    result = verify_corpus(
-        ("mt", "star"), ns=(3,), keep_reports=True, on_report=seen.append
-    )
-    assert len(seen) == len(result.reports) == 8
-    assert [r.to_dict() for r in seen] == [r.to_dict() for r in result.reports]
+    result = verify_corpus(("mt", "star"), ns=(3,), on_report=seen.append)
+    cfg = CorpusConfig(theorems=("mt", "star"))
+    expected = [rep for g in enumerate_graphs(3) for rep in reports_for_graph(g, cfg)]
+    assert len(seen) == len(expected) == 8
+    assert [r.to_dict() for r in seen] == [r.to_dict() for r in expected]
     assert result.summaries["mt"].checked == 4
 
 
