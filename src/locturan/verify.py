@@ -488,7 +488,7 @@ _REGISTRY: tuple[tuple[str, str, Callable[..., VerificationReport], bool], ...] 
 ALL_THEOREMS: tuple[str, ...] = tuple(thm for thm, _, _, _ in _REGISTRY)
 _KIND: dict[str, str] = {thm: kind for thm, kind, _, _ in _REGISTRY}
 # The driver calls each verifier through this dict, so that an entry can be
-# rebound (the benchmark's tracer wraps each one in place).
+# rebound in place (perfbench/trace_job.py wraps each one to time it).
 _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
     thm: fn for thm, _, fn, _ in _REGISTRY
 }
