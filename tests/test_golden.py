@@ -6,7 +6,8 @@ digests were taken from the implementation before the theorem registry
 replaced the per-kind verifier dicts.  The one intended change since then
 is `verify --weights file`, whose reports now follow --theorem order (they
 used to put the weighted theorems last); its lines as a set are pinned to
-the earlier output.  To print the digests of the current code, run
+the earlier output.  The two `enumerate` digests were taken from the
+brute-force (all n! relabellings) canonical search.  To print the digests of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,6 +40,14 @@ CONNECTED_LINES = "".join(
 WEIGHTED = "5 7\n0 1 3/2\n0 2 1\n0 3 0\n1 2 5/4\n1 3 2\n2 3 7/3\n3 4 1/2\n"
 
 CASES = {
+    "enumerate-n7": (
+        ["enumerate", "--n", "1-7"],
+        "9701eab755be7693d0f64a5dbf0fe67ab3917e7e402028802f12a41bf542510a",
+    ),
+    "enumerate-n7-connected": (
+        ["enumerate", "--n", "1-7", "--connected"],
+        "87f9cfc7a3c930874e0d1b4c0f08fb54d267a6b979b836bfd98dffa32488f58d",
+    ),
     "verify-all-n6-json": (
         ["verify", "--theorem", "all", "--n", "1-6", "--format", "json"],
         "432842e0b3047e04d56bceab227d6fb42194cad972c6e583234745b546c402fa",
