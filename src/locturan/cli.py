@@ -14,7 +14,8 @@ standard output.  All arithmetic is exact; rationals render as "p/q".
 Identical invocations produce byte-identical output, regardless of the
 LOCTURAN_THREADS worker count.
 
-Exit codes: 0 success, 1 verification counterexample, 2 usage or I/O error.
+Exit codes: 0 success, 1 verification counterexample, 2 usage or I/O error,
+3 internal error (a self-check failed).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterator, Sequence, TextIO
 
 from .covers import bound_from_cover, find_spdc, validate_pdc, write_cover
 from .graphs import (
+    CANON_CAP,
     Graph,
     WeightedGraph,
     enumerate_graphs,
@@ -57,8 +59,6 @@ from .verify import (
     weightings,
     worker_count,
 )
-
-_SLOW_N = 8
 
 
 class UsageError(Exception):
@@ -116,7 +116,7 @@ def _close_output(fh: TextIO) -> None:
         fh.close()
 
 
-def _parse_n_spec(spec: str, allow_slow: bool) -> list[int]:
+def _parse_n_spec(spec: str) -> list[int]:
     try:
         if "-" in spec:
             lo_s, hi_s = spec.split("-", 1)
@@ -127,10 +127,8 @@ def _parse_n_spec(spec: str, allow_slow: bool) -> list[int]:
         raise UsageError(f"bad --n value {spec!r}; expected N or LO-HI") from None
     if lo < 1 or hi < lo:
         raise UsageError(f"bad --n range {spec!r}")
-    if hi > _SLOW_N:
-        raise UsageError(f"enumeration supports n <= {_SLOW_N}")
-    if hi >= _SLOW_N and not allow_slow:
-        raise UsageError(f"n = {_SLOW_N} is slow; pass --allow-slow to confirm")
+    if hi > CANON_CAP:
+        raise UsageError(f"enumeration supports n <= {CANON_CAP}")
     return list(range(lo, hi + 1))
 
 
@@ -212,7 +210,7 @@ def _emit_records(
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    ns = _parse_n_spec(args.n, args.allow_slow)
+    ns = _parse_n_spec(args.n)
     out = _open_output(args.output)
     try:
         for n in ns:
@@ -312,8 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.input is not None:
         corpus = dict(graphs=_read_graphs(args.input, capped=True))
     else:
-        corpus = dict(ns=_parse_n_spec(args.n, args.allow_slow),
-                      connected_only=args.connected)
+        corpus = dict(ns=_parse_n_spec(args.n), connected_only=args.connected)
 
     out = _open_output(args.output)
     writer = csv.writer(out, lineterminator="\n") if args.format == "csv" else None
@@ -508,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream canonical graph6, one class per line")
     p.add_argument("--n", required=True, help="vertex count N or range LO-HI")
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--allow-slow", action="store_true",
-                   help="permit n = 8 (minutes, not seconds)")
     p.add_argument("--output", metavar="PATH", default=None)
     p.set_defaults(func=cmd_enumerate)
 
@@ -531,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default="2,3,4", help="comma list of clique orders")
     p.add_argument("--trials", type=int, default=1,
                    help="random weightings per graph")
-    p.add_argument("--allow-slow", action="store_true")
     _add_weight_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -565,6 +559,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

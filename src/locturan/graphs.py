@@ -9,11 +9,13 @@ then the upper triangle of the adjacency matrix read column by column
 ((0,1); (0,2),(1,2); (0,3),...), packed into 6-bit groups, most significant
 bit first, each group + 63.  Padding bits must be zero.
 
-Canonical forms (n <= 8) come from brute-force minimization of that same
-bit sequence over all n! relabelings, so equal canonical forms mean
-isomorphic, exactly.  The minimization is one integer matrix product over a
-precomputed permutation weight table, which keeps exhaustive n = 7 and n = 8
-corpora cheap.
+Canonical forms (n <= 8) minimize that same bit sequence, the key, over all
+n! relabelings, so equal canonical forms mean isomorphic, exactly.  The
+search assigns labels one at a time and keeps only the partial relabelings
+whose key prefix is least; twins (same neighbours apart from each other)
+take labels in index order, since permuting twins is an automorphism.
+Enumeration is orderly: a canonical (n-1)-vertex key plus one new column is
+kept iff the search finds no smaller key.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .rationals import format_rational, parse_rational
 
 MAX_VERTICES = 32
-_CANON_CAP = 8
+CANON_CAP = 8  # largest order for canonical forms and enumeration
 
 
 class Graph:
@@ -207,72 +207,72 @@ def write_graph6(g: Graph, header: bool = False) -> str:
 # canonical forms and isomorph-free enumeration
 
 
-@lru_cache(maxsize=None)
-def _perm_weights(n: int) -> np.ndarray:
-    """Row p, column e: the packed-key weight edge e contributes under perm p."""
-    edges = _edge_order(n)
-    ecount = len(edges)
-    eidx = {e: t for t, e in enumerate(edges)}
-    perms = list(itertools.permutations(range(n)))
-    w = np.zeros((len(perms), ecount), dtype=np.int64)
-    for pi, p in enumerate(perms):
-        for t, (i, j) in enumerate(edges):
-            a, b = p[i], p[j]
-            if a > b:
-                a, b = b, a
-            w[pi, eidx[(a, b)]] = 1 << (ecount - 1 - t)
-    return w
-
-
-def canonical_key(g: Graph) -> int:
-    """Minimum packed upper-triangle bit sequence over all relabelings."""
-    if g.n > _CANON_CAP:
-        raise ValueError(f"canonical forms support n <= {_CANON_CAP}, got {g.n}")
-    edges = _edge_order(g.n)
-    eidx = {e: t for t, e in enumerate(edges)}
-    bits = np.zeros(len(edges), dtype=np.int64)
-    for e in g.edges:
-        bits[eidx[e]] = 1
-    if not len(edges):
-        return 0
-    return int((_perm_weights(g.n) @ bits).min())
+def _min_key(adj: tuple[int, ...], bound: int | None = None) -> int:
+    """Least key over all relabelings of the graph with adjacency bitsets
+    adj.  Given the key of some relabeling as bound, it returns a smaller
+    number as soon as a key prefix falls below the bound's."""
+    n = len(adj)
+    twins_before = [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(n)
+    ]
+    # nxt holds (placed vertices, columns, next vertex) per prefix-minimal
+    # labeling; the n-bit field w of columns is the key column w would get
+    # if labeled next, and labeling v appends bit w of to[v] to each field
+    to = [sum((a >> v & 1) << n * w for w, a in enumerate(adj)) for v in range(n)]
+    mask = (1 << n) - 1
+    nxt = [(0, 0, v) for v in range(n) if not twins_before[v]]
+    key = 0
+    rem = n * (n - 1) // 2
+    for j in range(1, n):
+        rem -= j
+        best = 1 << j if bound is None else bound >> rem & ((1 << j) - 1)
+        frontier, nxt = [(placed | 1 << v, cols << 1 | to[v]) for placed, cols, v in nxt], []
+        for placed, cols in frontier:
+            for v in range(n):
+                if placed >> v & 1 or twins_before[v] & ~placed:
+                    continue
+                c = cols >> n * v & mask
+                if c < best:
+                    if bound is not None:
+                        return (key << j | c) << rem
+                    best, nxt = c, []
+                if c == best:
+                    nxt.append((placed, cols, v))
+        key = key << j | best
+    return key
 
 
 def _graph_from_key(n: int, key: int) -> Graph:
-    edges = _edge_order(n)
-    ecount = len(edges)
-    return Graph(n, [e for t, e in enumerate(edges) if key >> (ecount - 1 - t) & 1])
+    return Graph(n, [e for t, e in enumerate(reversed(_edge_order(n))) if key >> t & 1])
 
 
 def canonical_form(g: Graph) -> bytes:
     """graph6 record of the canonically relabeled graph; equal iff isomorphic."""
-    return write_graph6(_graph_from_key(g.n, canonical_key(g))).encode("ascii")
+    if g.n > CANON_CAP:
+        raise ValueError(f"canonical forms support n <= {CANON_CAP}, got {g.n}")
+    return write_graph6(_graph_from_key(g.n, _min_key(g.adj))).encode("ascii")
 
 
 @lru_cache(maxsize=None)
-def _representatives(n: int) -> tuple[Graph, ...]:
+def _representatives(n: int) -> tuple[int, ...]:
+    """Canonical keys of the n-vertex classes, ascending."""
     if n == 1:
-        return (Graph(1),)
-    keys: set[int] = set()
-    for base in _representatives(n - 1):
-        for nb in range(1 << (n - 1)):
-            extra = [(i, n - 1) for i in range(n - 1) if nb >> i & 1]
-            keys.add(canonical_key(Graph(n, base.edges + tuple(extra))))
-    return tuple(_graph_from_key(n, k) for k in sorted(keys))
+        return (0,)
+    candidates = (parent << (n - 1) | col for parent in _representatives(n - 1)
+                  for col in range(1 << (n - 1)))
+    return tuple(k for k in candidates if _min_key(_graph_from_key(n, k).adj, k) == k)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """Isomorph-free stream of all graphs on n vertices, 1 <= n <= 8.
-
-    Each (n-1)-vertex representative is extended by every possible
-    neighborhood of a new vertex; deleting any vertex of any n-vertex graph
-    lands back on some representative, so every isomorphism class appears.
-    Deduplication and output order are by canonical key, so the emitted
-    graph6 records are already canonical forms.
-    """
-    if not 1 <= n <= 8:
-        raise ValueError(f"enumeration supports 1 <= n <= 8, got {n}")
-    for g in _representatives(n):
+    """Isomorph-free stream of all graphs on n vertices, 1 <= n <= CANON_CAP,
+    as canonical forms in ascending key order.  Orderly generation (Read
+    1978; Faradzev 1978): each class is found once, as a canonical
+    (n-1)-vertex key plus the one new column that no relabeling undercuts."""
+    if not 1 <= n <= CANON_CAP:
+        raise ValueError(f"enumeration supports 1 <= n <= {CANON_CAP}, got {n}")
+    for key in _representatives(n):
+        g = _graph_from_key(n, key)
         if connected_only and not is_connected(g):
             continue
         yield g

@@ -250,6 +250,46 @@ def brute_iso_classes(n: int, connected_only: bool = False) -> int:
     return len(seen)
 
 
+def labeled_key(g: Graph, perm: tuple[int, ...] | None = None) -> int:
+    """Upper-triangle bits of g with label i on vertex perm[i], read column
+    by column ((0,1); (0,2),(1,2); ...), most significant bit first."""
+    p = perm or range(g.n)
+    key = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            key = key << 1 | g.has_edge(p[i], p[j])
+    return key
+
+
+def brute_canonical_key(g: Graph) -> int:
+    """Least labeled key over all n! relabelings."""
+    return min(labeled_key(g, p) for p in permutations(range(g.n)))
+
+
+def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
+    """A vertex map m with uv an edge of g iff m[u]m[v] is one of h, found
+    by backtracking over degree-matched images; None if there is none."""
+    if g.n != h.n or g.m != h.m:
+        return None
+    m: list[int] = []
+
+    def extend() -> bool:
+        u = len(m)
+        if u == g.n:
+            return True
+        for x in range(h.n):
+            if x in m or g.degree(u) != h.degree(x):
+                continue
+            if all(g.has_edge(u, w) == h.has_edge(x, m[w]) for w in range(u)):
+                m.append(x)
+                if extend():
+                    return True
+                m.pop()
+        return False
+
+    return m if extend() else None
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Direct edge-list relabeling, independent of the package helper."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

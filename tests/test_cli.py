@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import locturan
+from locturan import verify
 from locturan.cli import main
 from locturan.graphs import (
     Graph,
@@ -30,6 +31,7 @@ from locturan.graphs import (
     write_graph6,
     write_weighted_graph,
 )
+from locturan.stats import EdgeStatProfile
 from locturan.verify import (
     CSV_FIELDS,
     CorpusResult,
@@ -99,10 +101,11 @@ def test_enumerate_rejects_bad_ranges():
 
 
 def test_enumerate_gates_slow_order():
-    code, _, err = run_cli(["enumerate", "--n", "8"])
-    assert code == 2 and "--allow-slow" in err
-    code, _, err = run_cli(["enumerate", "--n", "9", "--allow-slow"])
+    code, _, err = run_cli(["enumerate", "--n", "9"])
     assert code == 2 and "n <= 8" in err
+    # the removed --allow-slow flag is an unknown argument
+    code, _, err = run_cli(["enumerate", "--n", "3", "--allow-slow"])
+    assert code == 2 and "--allow-slow" in err
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,20 @@ def test_verify_counterexample_exits_one(monkeypatch):
     assert "FAIL Cr" in err
 
 
+def test_internal_self_check_failure_exits_three(monkeypatch):
+    """A failed self-check is an internal error, not a counterexample."""
+    real = verify.star_profile
+
+    def corrupt(g):
+        return EdgeStatProfile("s", {e: v + 1 for e, v in real(g).values.items()})
+
+    monkeypatch.delenv("LOCTURAN_THREADS", raising=False)
+    monkeypatch.setattr("locturan.verify.star_profile", corrupt)
+    code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
+    assert code == 3
+    assert err == "internal error: star statistic disagrees with max-degree form\n"
+
+
 def test_verify_output_identical_across_worker_counts(tmp_path, monkeypatch):
     argv = ["verify", "--theorem", "mt,bbrs,local-bbrs", "--n", "1-4",
             "--format", "json"]
@@ -545,3 +562,14 @@ def test_installed_console_script_enumerates():
     )
     assert out.returncode == 0
     assert out.stdout == "B?\nBG\nBW\nBw\n"
+
+
+def test_cli_import_loads_no_numpy(tmp_path):
+    """The package has no third-party runtime dependency."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import locturan.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=module_env(),
+    )
+    assert out.returncode == 0
+    assert out.stdout == "False\n"

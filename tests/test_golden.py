@@ -7,7 +7,8 @@ replaced the per-kind verifier dicts.  The one intended change since then
 is `verify --weights file`, whose reports now follow --theorem order (they
 used to put the weighted theorems last); its lines as a set are pinned to
 the earlier output.  The two `enumerate` digests were taken from the
-brute-force (all n! relabellings) canonical search.  To print the digests of the current code, run
+brute-force (all n! relabellings) canonical search.  To print the digests
+of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_canonical_key,
     brute_iso_classes,
+    find_isomorphism,
     independent_graph6_decode,
     iter_labeled_graphs,
+    labeled_key,
     naive_connected,
     random_graph,
     relabel,
@@ -181,6 +184,58 @@ def test_canonical_form_is_a_graph6_record():
     assert isinstance(cf, bytes)
     back = parse_graph6(cf)
     assert canonical_form(back) == cf
+
+
+def canonical_key(g: Graph) -> int:
+    return labeled_key(parse_graph6(canonical_form(g)))
+
+
+def test_canonical_key_matches_brute_force_through_n6():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            h = relabel(g, rng.sample(range(n), n))
+            assert canonical_key(h) == brute_canonical_key(h) == labeled_key(g)
+
+
+def _wagner() -> Graph:
+    return cycle_graph(8).with_edges((i, i + 4) for i in range(4))
+
+
+def _cube() -> Graph:
+    return Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                     if not u >> b & 1])
+
+
+def _k(*parts: int) -> Graph:
+    """Complete multipartite graph with the given part sizes."""
+    g = Graph(parts[0])
+    for size in parts[1:]:
+        g = join_graphs(g, Graph(size))
+    return g
+
+
+SYMMETRIC_7 = [complete_graph(7), Graph(7), cycle_graph(7), _k(3, 4)]
+SYMMETRIC_8 = [complete_graph(8), cycle_graph(8), _cube(), _k(4, 4),
+               disjoint_union(complete_graph(4), complete_graph(4)),
+               _k(2, 2, 2, 2), _wagner()]
+
+
+def test_canonical_key_on_twin_heavy_and_vertex_transitive_graphs():
+    rng = random.Random(7)
+    for g in SYMMETRIC_7:
+        h = relabel(g, rng.sample(range(7), 7))
+        assert canonical_key(h) == brute_canonical_key(h)
+    for g in SYMMETRIC_8:
+        forms = {canonical_form(relabel(g, rng.sample(range(8), 8)))
+                 for _ in range(3)}
+        assert len(forms) == 1
+        assert find_isomorphism(g, parse_graph6(forms.pop())) is not None
+
+
+def test_enumeration_keys_strictly_increase():
+    keys = [labeled_key(g) for g in enumerate_graphs(7)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # ---------------------------------------------------------------------------
