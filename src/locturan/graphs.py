@@ -216,9 +216,9 @@ def _min_key(adj: tuple[int, ...], bound: int | None = None) -> int:
         sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
         for v in range(n)
     ]
-    # nxt holds (placed vertices, columns, next vertex) per prefix-minimal
-    # labeling; the n-bit field w of columns is the key column w would get
-    # if labeled next, and labeling v appends bit w of to[v] to each field
+    # nxt: (placed vertices, columns, next vertex) per prefix-minimal labeling;
+    # n-bit field w of columns is the key column w gets if labeled next (it
+    # has < n bits), and labeling v appends bit w of to[v] to each field w
     to = [sum((a >> v & 1) << n * w for w, a in enumerate(adj)) for v in range(n)]
     mask = (1 << n) - 1
     nxt = [(0, 0, v) for v in range(n) if not twins_before[v]]
@@ -227,7 +227,8 @@ def _min_key(adj: tuple[int, ...], bound: int | None = None) -> int:
     for j in range(1, n):
         rem -= j
         best = 1 << j if bound is None else bound >> rem & ((1 << j) - 1)
-        frontier, nxt = [(placed | 1 << v, cols << 1 | to[v]) for placed, cols, v in nxt], []
+        frontier = [(placed | 1 << v, cols << 1 | to[v]) for placed, cols, v in nxt]
+        nxt = []
         for placed, cols in frontier:
             for v in range(n):
                 if placed >> v & 1 or twins_before[v] & ~placed:

@@ -233,11 +233,6 @@ def test_canonical_key_on_twin_heavy_and_vertex_transitive_graphs():
         assert find_isomorphism(g, parse_graph6(forms.pop())) is not None
 
 
-def test_enumeration_keys_strictly_increase():
-    keys = [labeled_key(g) for g in enumerate_graphs(7)]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -271,6 +266,11 @@ def test_enumeration_is_canonical_and_deterministic():
     for g in enumerate_graphs(5):
         assert canonical_form(g).decode("ascii") == write_graph6(g)
     assert len(set(first)) == len(first)
+
+
+def test_enumeration_keys_strictly_increase():
+    keys = [labeled_key(g) for g in enumerate_graphs(7)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumeration_range_checks():
