@@ -7,8 +7,9 @@ replaced the per-kind verifier dicts.  The one intended change since then
 is `verify --weights file`, whose reports now follow --theorem order (they
 used to put the weighted theorems last); its lines as a set are pinned to
 the earlier output.  The two `enumerate` digests were taken from the
-brute-force (all n! relabellings) canonical search.  To print the digests
-of the current code, run
+brute-force (all n! relabellings) canonical search, and the n <= 6 seeded
+weighted digest from the maximal-path enumeration of weighted statistics.
+To print the digests of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -61,6 +62,11 @@ CASES = {
         ["verify", "--theorem", "weighted-mt,fmr,bondy-fan", "--n", "1-5",
          "--weights", "random", "--seed", "3", "--trials", "2", "--format", "csv"],
         "e3a259710119a28742f759b279a03359101b70154c3c27d6462f31b8372f52d6",
+    ),
+    "verify-weighted-random-n6-csv": (
+        ["verify", "--theorem", "weighted-mt,fmr,bondy-fan", "--n", "1-6",
+         "--weights", "random", "--seed", "1", "--trials", "2", "--format", "csv"],
+        "28ba0011770b45c7f7131d91ce6a4c3c74a7225824b653d59bdf5fa569a64c3d",
     ),
     "stats-p": (
         ["stats", "--stat", "p", "--format", "json"],
