@@ -10,12 +10,13 @@ and a subset-closure table then answer every through-edge question with a
 handful of big-integer AND/OR operations, which is what makes exhaustive
 n <= 7 corpora cheap.
 
-Weighted statistics use the graph's weight-independent skeleton instead:
-all maximal simple paths are enumerated once per graph and cached, and each
-weighting is an exact Fraction scan over them.  With nonnegative weights a
-maximum-weight path can always be extended to a maximal one, so the scan is
-exact.  Maximum-weight cycles get a small Fraction-valued subset DP rooted
-at each cycle's minimum vertex.
+Weighted statistics scale the weights to integers by the lcm d of their
+denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
+1962): t[mask][v] is the heaviest path from a root to v whose vertex set is
+exactly mask.  Rooted at every vertex it gives the heaviest path, and with
+the heaviest continuation from each (mask, end) state, the heaviest path
+through every edge.  Rooted at a cycle's least vertex r, on the vertices
+>= r, it gives the heaviest cycle.  Each result is divided by d once.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import lcm
 from operator import or_
 
 from .graphs import Graph, WeightedGraph, induced_subgraph, is_connected
@@ -490,61 +492,70 @@ def clique_star_profile(
 # weighted statistics
 
 
-@lru_cache(maxsize=512)
-def _maximal_paths(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Every maximal simple path, once (lex-min orientation kept)."""
-    out: list[tuple[int, ...]] = []
-    adj = g.adj
-
-    def extend(seq: list[int], mask: int) -> None:
-        ext = adj[seq[-1]] & ~mask
-        if not ext:
-            if not adj[seq[0]] & ~mask:
-                t = tuple(seq)
-                if t <= t[::-1]:
-                    out.append(t)
-            return
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            seq.append(w)
-            extend(seq, mask | low)
-            seq.pop()
-
-    for v in range(g.n):
-        extend([v], 1 << v)
-    return tuple(out)
+def _scaled(wg: WeightedGraph) -> tuple[int, list[list[tuple[int, int]]]]:
+    """d, the lcm of the weight denominators, and per vertex v the pairs
+    (u, d * w(vu)) over the neighbours u of v."""
+    g = wg.graph
+    if g.n > TABLE_CAP:
+        raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {g.n}")
+    d = lcm(*(w.denominator for w in wg.weights.values()))
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (a, b), w in wg.weights.items():
+        w = w.numerator * (d // w.denominator)
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    return d, nbrs
 
 
-def _path_weight(wg: WeightedGraph, seq: tuple[int, ...]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(seq, seq[1:]):
-        total += wg.weights[(a, b) if a < b else (b, a)]
-    return total
+def _heaviest(
+    nbrs: list[list[tuple[int, int]]], roots: range | tuple[int, ...]
+) -> list[list[int]]:
+    """t[mask][v]: the heaviest path from a root to v whose vertex set is
+    exactly mask, or -1 if there is none.  Weights must be nonnegative."""
+    n = len(nbrs)
+    t = [[-1] * n for _ in range(1 << n)]
+    for r in roots:
+        t[1 << r][r] = 0
+    for mask, row in enumerate(t):
+        for v, val in enumerate(row):
+            if val >= 0:
+                for u, w in nbrs[v]:
+                    if not mask >> u & 1 and val + w > t[mask | 1 << u][u]:
+                        t[mask | 1 << u][u] = val + w
+    return t
 
 
 def max_weight_path(wg: WeightedGraph) -> Fraction:
     """Largest total weight of a simple path (0 for empty or edgeless graphs)."""
-    best = Fraction(0)
-    for seq in _maximal_paths(wg.graph):
-        w = _path_weight(wg, seq)
-        if w > best:
-            best = w
-    return best
+    d, nbrs = _scaled(wg)
+    if not nbrs:
+        return Fraction(0)
+    return Fraction(max(map(max, _heaviest(nbrs, range(len(nbrs))))), d)
 
 
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
     g = wg.graph
-    best = dict(wg.weights)
-    for seq in _maximal_paths(g):
-        w = _path_weight(wg, seq)
-        for a, b in zip(seq, seq[1:]):
-            e = (a, b) if a < b else (b, a)
-            if w > best[e]:
-                best[e] = w
-    return EdgeStatProfile("w_p", best)
+    d, nbrs = _scaled(wg)
+    f = _heaviest(nbrs, range(g.n))
+    # The heaviest path through ab is a path ending at a with vertex set L,
+    # the edge ab, and a path from b that avoids L.  c[mask][a] is the
+    # heaviest path from a through vertices outside mask; filling it from
+    # the full mask down visits each (L, a) state and edge ab once.
+    c = [[0] * g.n for _ in range(1 << g.n)]
+    best = [[0] * g.n for _ in range(g.n)]
+    for mask in range((1 << g.n) - 1, 0, -1):
+        crow = c[mask]
+        for a, val in enumerate(f[mask]):
+            if mask >> a & 1:
+                for b, w in nbrs[a]:
+                    if not mask >> b & 1:
+                        x = w + c[mask | 1 << b][b]
+                        if x > crow[a]:
+                            crow[a] = x
+                        if val >= 0 and val + x > best[a][b]:
+                            best[a][b] = val + x
+    return EdgeStatProfile("w_p", {(a, b): Fraction(best[a][b], d) for a, b in g.edges})
 
 
 def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fraction:
@@ -555,34 +566,16 @@ def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fract
 def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
     """Largest total weight of a cycle, or None if the graph has no cycle.
 
-    Fraction-valued subset DP: for each choice of the cycle's minimum vertex
-    r, grow paths from r through vertices > r and close back to r.
+    For each choice of the cycle's least vertex r, grow paths from r through
+    vertices > r and close those of at least 3 vertices back to r.
     """
-    g = wg.graph
-    n = g.n
-    if n > TABLE_CAP:
-        raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {n}")
-    best: Fraction | None = None
-    for r in range(n):
-        tables: dict[int, dict[int, Fraction]] = {1 << r: {r: Fraction(0)}}
-        for k in range(1 << (n - r - 1)):
-            mask = (1 << r) | (k << (r + 1))
-            ends = tables.get(mask)
-            if not ends:
-                continue
-            for end, val in ends.items():
-                nb = g.adj[end] & ~mask & ~((1 << r) - 1)
-                if end != r and g.adj[end] >> r & 1 and mask.bit_count() >= 3:
-                    cand = val + wg.weight(end, r)
-                    if best is None or cand > best:
-                        best = cand
-                while nb:
-                    low = nb & -nb
-                    nb ^= low
-                    w = low.bit_length() - 1
-                    nxt = val + wg.weight(end, w)
-                    bucket = tables.setdefault(mask | low, {})
-                    if w not in bucket or nxt > bucket[w]:
-                        bucket[w] = nxt
-            del tables[mask]
-    return best
+    d, nbrs = _scaled(wg)
+    best = -1
+    for r in range(len(nbrs)):
+        sub = [[(u - r, w) for u, w in nbrs[v] if u >= r] for v in range(r, len(nbrs))]
+        for mask, row in enumerate(_heaviest(sub, (0,))):
+            if mask.bit_count() >= 3:
+                for u, w in sub[0]:
+                    if row[u] >= 0 and row[u] + w > best:
+                        best = row[u] + w
+    return None if best < 0 else Fraction(best, d)

@@ -38,6 +38,7 @@ from locturan.graphs import (
     enumerate_graphs,
     is_connected,
     join_graphs,
+    parse_graph6,
     path_graph,
     seeded_weights,
     star_graph,
@@ -285,10 +286,9 @@ def test_weighted_stats_match_naive():
                 assert wp[e] == naive_wp_edge(wg, e)
 
 
-def test_weighted_stats_match_naive_n5_spot():
+def test_weighted_stats_match_naive_n5():
     rng = random.Random(37)
-    pool = frozen_corpus(5, connected_only=True)
-    for g in rng.sample(pool, 12):
+    for g in frozen_corpus(5, connected_only=True):
         wg = random_weights(rng, g)
         assert max_weight_path(wg) == naive_max_weight_path(wg)
         assert max_weight_cycle(wg) == naive_max_weight_cycle(wg)
@@ -402,14 +402,25 @@ def test_terminus_property_n6():
                     assert vp[e] == best
 
 
-def test_weighted_unit_reduction_n5():
-    for g in frozen_corpus(5, connected_only=True):
+def test_weighted_unit_reduction():
+    # with n <= 5, and on a dense n = 12 graph (38 edges) whose maximal
+    # paths are too many to list
+    for g in [*frozen_corpus(5, connected_only=True), parse_graph6("KH|^LmDN@dn]")]:
         wg = WeightedGraph.unit(g)
         pp = path_profile(g).values
         wp = weighted_path_profile(wg).values
         assert max_weight_path(wg) == longest_path(g)
+        circumference = max(cycle_profile(g).values.values(), default=2)
+        assert max_weight_cycle(wg) == (circumference if circumference > 2 else None)
         for e in g.edges:
             assert wp[e] == pp[e]
+
+
+def test_weighted_stats_reject_over_cap_graph():
+    wg = WeightedGraph.unit(path_graph(13))
+    for stat in (weighted_path_profile, max_weight_path, max_weight_cycle):
+        with pytest.raises(ValueError, match="n <= 12, got 13"):
+            stat(wg)
 
 
 def test_profiles_cover_exactly_the_edge_set():
