@@ -370,7 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spdc(args: argparse.Namespace) -> int:
     weights = _load_weights(args)
-    graphs = _read_graphs(args.input)
+    graphs = _read_graphs(args.input, capped=True)
     records = []
     covers = []
     for g in graphs:

@@ -536,30 +536,40 @@ def weightings(
 
 
 def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
+    """Every report of the configured theorems on g.  A failed self-check
+    (RuntimeError) is re-raised naming the theorem, g and its root, s or
+    weighting, so that the failing case can be replayed."""
     g6 = write_graph6(g)
     out: list[VerificationReport] = []
     for thm in cfg.theorems:
         if thm not in _KIND:
             raise ValueError(f"unknown theorem id {thm!r}")
         kind, fn = _KIND[thm], _VERIFIERS[thm]
-        if kind == PLAIN:
-            out.append(fn(g))
-        elif kind == ROOTED:
-            roots = range(g.n) if cfg.roots == "all" else [int(cfg.roots)]
-            for v in roots:
-                if not 0 <= v < g.n:
-                    out.append(_skipped(thm, g6, f"root {v} out of range for n={g.n}"))
-                    continue
-                out.append(fn(g, v))
-        elif kind == CLIQUE:
-            for s in cfg.s_values:
-                if thm == "delta" and clique_count(g, s) == 0:
-                    out.append(_skipped("delta", g6, f"no cliques of order {s}", s=s))
-                    continue
-                out.append(fn(g, s))
-        else:
-            for wg, label in weightings(g, cfg.weights, cfg.seed, cfg.trials):
-                out.append(fn(wg, label))
+        where = ""
+        try:
+            if kind == PLAIN:
+                out.append(fn(g))
+            elif kind == ROOTED:
+                roots = range(g.n) if cfg.roots == "all" else [int(cfg.roots)]
+                for v in roots:
+                    if not 0 <= v < g.n:
+                        out.append(_skipped(thm, g6, f"root {v} out of range for n={g.n}"))
+                        continue
+                    where = f", root {v}"
+                    out.append(fn(g, v))
+            elif kind == CLIQUE:
+                for s in cfg.s_values:
+                    where = f", s {s}"
+                    if thm == "delta" and clique_count(g, s) == 0:
+                        out.append(_skipped("delta", g6, f"no cliques of order {s}", s=s))
+                        continue
+                    out.append(fn(g, s))
+            else:
+                for wg, label in weightings(g, cfg.weights, cfg.seed, cfg.trials):
+                    where = f", weights {label}"
+                    out.append(fn(wg, label))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{thm} on {g6}{where}: {exc}") from exc
     return out
 
 

@@ -10,6 +10,7 @@ installed, it is run as well.
 import ast
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -395,11 +396,17 @@ def test_internal_self_check_failure_exits_three(monkeypatch):
     def corrupt(g):
         return EdgeStatProfile("s", {e: v + 1 for e, v in real(g).values.items()})
 
-    monkeypatch.delenv("LOCTURAN_THREADS", raising=False)
     monkeypatch.setattr("locturan.verify.star_profile", corrupt)
-    code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
-    assert code == 3
-    assert err == "internal error: star statistic disagrees with max-degree form\n"
+    # the corruption reaches pool workers only when they are forked
+    threads = ("1", "2") if multiprocessing.get_start_method() == "fork" else ("1",)
+    for value in threads:
+        monkeypatch.setenv("LOCTURAN_THREADS", value)
+        code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
+        assert code == 3
+        assert err == (
+            "internal error: star on BG: "
+            "star statistic disagrees with max-degree form\n"
+        )
 
 
 def test_verify_output_identical_across_worker_counts(tmp_path, monkeypatch):
@@ -447,6 +454,15 @@ def test_spdc_weights_file_must_match_graph(tmp_path):
         ["spdc", "--weights", "file", "--weights-file", str(wfile)], stdin="Cs\n"
     )
     assert code == 2 and "differs from input graph" in err
+
+
+def test_spdc_rejects_over_cap_graph():
+    path13 = "LhCGGC@?G?_@?@"  # the path on 13 vertices; it has a cover
+    assert parse_graph6(path13).n == 13
+    code, out, err = run_cli(["spdc"], stdin=f"{path13}\n")
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: {path13} has 13 vertices; " \
+        "this command supports n <= 12\n"
 
 
 # ---------------------------------------------------------------------------

@@ -623,6 +623,18 @@ def test_corpus_report_order_is_config_order():
     ]
 
 
+def test_self_check_failure_names_theorem_graph_and_weighting(monkeypatch):
+    monkeypatch.setattr("locturan.verify.max_weight_cycle", lambda wg: None)
+    cfg = CorpusConfig(theorems=("bondy-fan",), weights="random", seed=7)
+    rng = zlib.crc32(b"7|Bw|0")
+    with pytest.raises(RuntimeError) as info:
+        reports_for_graph(complete_graph(3), cfg)
+    assert str(info.value) == (
+        f"bondy-fan on Bw, weights seed=7;trial=0;rng={rng}: "
+        "2-edge-connected graph with no cycle; cycle search is corrupt"
+    )
+
+
 def test_corpus_random_weight_labels_are_reproducible():
     g = complete_graph(3)
     reports = []
