@@ -8,7 +8,10 @@ masks missing u, and shifts by 2^u to add u; a fixpoint is reached in at
 most n rounds.  Per-size mask filters, per-vertex "mask avoids v" filters,
 and a subset-closure table then answer every through-edge question with a
 handful of big-integer AND/OR operations, which is what makes exhaustive
-n <= 7 corpora cheap.
+n <= 7 corpora cheap.  Rooted and clique queries filter and shift these
+shared per-source tables: p_v(e) joins the paths from v that end at one
+end of e, and p(S) shifts the masks that avoid the rest of S onto it.  No
+per-root or per-clique tables are built.
 
 Weighted statistics scale the weights to integers by the lcm d of their
 denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
@@ -30,7 +33,7 @@ from itertools import combinations
 from math import lcm
 from operator import or_
 
-from .graphs import Graph, WeightedGraph, induced_subgraph, is_connected
+from .graphs import Graph, WeightedGraph, is_connected
 
 TABLE_CAP = 12
 
@@ -129,7 +132,6 @@ class PathEngine:
         self._union = [reduce(or_, t, 0) for t in self._from]
         self._lmax = [self._max_size(u) for u in self._union]
         self._tdis: dict[int, list[int]] = {}
-        self._avoid: dict[tuple[int, int], list[int]] = {}
 
     def _max_size(self, maskset: int) -> int:
         for k in range(self.n, 0, -1):
@@ -137,20 +139,16 @@ class PathEngine:
                 return k
         return 0
 
-    def _table_from(self, s: int, banned: int = 0) -> list[int]:
+    def _table_from(self, s: int) -> list[int]:
         adj = self.g.adj
         table = [0] * self.n
-        if banned >> s & 1:
-            return table
         table[s] = 1 << (1 << s)
         changed = True
         while changed:
             changed = False
             for u in range(self.n):
-                if banned >> u & 1:
-                    continue
                 acc = 0
-                nb = adj[u] & ~banned
+                nb = adj[u]
                 while nb:
                     low = nb & -nb
                     nb ^= low
@@ -160,12 +158,6 @@ class PathEngine:
                     table[u] |= grown
                     changed = True
         return table
-
-    def _avoid_table(self, s: int, banned_vertex: int) -> list[int]:
-        key = (s, banned_vertex)
-        if key not in self._avoid:
-            self._avoid[key] = self._table_from(s, 1 << banned_vertex)
-        return self._avoid[key]
 
     def _tdisjoint(self, y: int) -> list[int]:
         """T[l]: bit M set iff some path-mask from y of size l is disjoint from M."""
@@ -210,9 +202,11 @@ class PathEngine:
     def vpath(self, v: int) -> int:
         return self._lmax[v] - 1
 
-    def edge_path(self, a: int, b: int) -> int:
-        masks = self._union[a] & self._wo[b]
-        return self._join_best(masks, b) - 1
+    def edge_path(self, a: int, b: int, banned: int = 0) -> int:
+        """p(ab) in G - banned.  Shifting the masks from a that avoid banned
+        by `banned` adds banned to each, so the join keeps b's half off it."""
+        masks = self._union[a] & _subset_closure(self.n)[self.full ^ banned]
+        return self._join_best(masks << banned, b) - banned.bit_count() - 1
 
     def edge_cycle(self, a: int, b: int) -> int:
         masks = self._from[a][b]
@@ -222,13 +216,9 @@ class PathEngine:
         return 2
 
     def vpath_edge(self, v: int, a: int, b: int) -> int:
-        best = 0
-        for x, y in ((a, b), (b, a)):
-            if y == v:
-                continue
-            masks = self._avoid_table(v, y)[x]
-            if masks:
-                best = max(best, self._join_best(masks, y))
+        best = max(
+            self._join_best(self._from[v][x], y) for x, y in ((a, b), (b, a)) if y != v
+        )
         if best == 0:
             raise ValueError(
                 f"no path from {v} through edge ({a}, {b}); input must be connected"
@@ -441,14 +431,14 @@ def longest_path_with_consecutive_clique(g: Graph, clique) -> int:
             return 0
         eng = _engine(g)
         return max(eng.edge_path(*g.check_edge((v, w))) for w in g.neighbors(v))
-    best = s - 1
-    inner = set(vs)
-    for x, y in combinations(vs, 2):
-        keep = [w for w in range(g.n) if w not in inner or w in (x, y)]
-        sub = induced_subgraph(g, keep)
-        xi, yi = keep.index(x), keep.index(y)
-        best = max(best, longest_path_through_edge(sub, (xi, yi)) + s - 2)
-    return best
+    # S is a block x ... y: a path through xy in G - (S - x - y), with the
+    # other s - 2 vertices of S put between x and y.
+    kmask = sum(1 << v for v in vs)
+    eng = _engine(g)
+    return max(
+        eng.edge_path(x, y, kmask ^ 1 << x ^ 1 << y) + s - 2
+        for x, y in combinations(vs, 2)
+    )
 
 
 def max_star_over_clique(g: Graph, clique, require_center_in_clique: bool = False) -> int:

@@ -44,6 +44,7 @@ from locturan.graphs import (
     star_graph,
 )
 from locturan.stats import (
+    PathEngine,
     clique_count,
     clique_path_profile,
     clique_star_profile,
@@ -69,6 +70,7 @@ from locturan.stats import (
     star_size_through_edge,
     vpath_profile,
     weighted_path_profile,
+    _engine,
 )
 
 
@@ -261,6 +263,29 @@ def test_clique_stats_match_naive_n5():
             for clique in enumerate_cliques(g, s):
                 assert pcp[clique] == naive_p_clique(g, clique)
                 assert scp[clique] == naive_s_clique(g, clique)
+    # p(S) bans S minus the block's two ends only when s >= 3
+    for g in enumerate_graphs(6):
+        for s in (3, 4, 5, 6):
+            pcp = clique_path_profile(g, s).values
+            for clique in enumerate_cliques(g, s):
+                assert pcp[clique] == naive_p_clique(g, clique)
+
+
+def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
+    built = []
+    init = PathEngine.__init__
+
+    def counting_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(PathEngine, "__init__", counting_init)
+    _engine.cache_clear()
+    g = parse_graph6("FCZbg")
+    assert is_connected(g) and clique_count(g, 3) == 2
+    clique_path_profile(g, 3)
+    vpath_profile(g, 0)
+    assert built == [g]
 
 
 def test_matching_numbers_match_naive_n5():
