@@ -275,6 +275,8 @@ def _stat_records(
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if args.s < 1:
+        raise UsageError(f"--s must be >= 1, got {args.s}")
     weights = _load_weights(args)
     if isinstance(weights, WeightedGraph):
         graphs = [_capped(weights.graph, args.weights_file)]
@@ -304,6 +306,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     s_values = _parse_s_list(args.s)
+    if {"gt-path", "gt-star"} & set(theorems) and min(s_values) < 2:
+        raise UsageError(f"gt-path and gt-star need --s values >= 2, got {args.s}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights = _load_weights(args)
     if isinstance(weights, WeightedGraph):
         corpus = dict(graphs=[_capped(weights.graph, args.weights_file)])

@@ -158,6 +158,13 @@ def test_stats_clique_profile_sorted_items():
     assert all(r["s"] == 2 and r["value"] == "2" for r in recs)
 
 
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_stats_rejects_clique_order_below_one(s):
+    code, out, err = run_cli(["stats", "--stat", "p_S", "--s", s], stdin="Bw\n")
+    assert code == 2 and out == ""
+    assert err == f"error: --s must be >= 1, got {s}\n"
+
+
 def test_stats_weighted_profile_from_file(tmp_path):
     wfile = tmp_path / "tri.wg"
     wfile.write_text(TRI_WEIGHTS)
@@ -264,6 +271,26 @@ def test_verify_random_weights_require_seed():
         ["verify", "--theorem", "fmr", "--n", "3", "--weights", "random"]
     )
     assert code == 2 and "--seed" in err
+
+
+def test_verify_rejects_clique_order_below_two_for_gt():
+    code, out, err = run_cli(
+        ["verify", "--n", "3", "--s", "1", "--theorem", "gt-path"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: gt-path and gt-star need --s values >= 2, got 1\n"
+    code, out, _ = run_cli(["verify", "--n", "3", "--s", "1", "--theorem", "delta"])
+    assert code == 0 and out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_trials_below_one(trials):
+    code, out, err = run_cli(
+        ["verify", "--n", "3", "--weights", "random", "--seed", "1",
+         "--trials", trials, "--theorem", "fmr"]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be >= 1, got {trials}\n"
 
 
 def test_verify_single_root_and_bad_root():
