@@ -5,6 +5,5 @@ import sys
 from .cli import main
 
 # The guard keeps a plain import of locturan.__main__ from running the CLI.
-# Spawn/forkserver pool workers do not re-run a package __main__ either way.
 if __name__ == "__main__":
     sys.exit(main())

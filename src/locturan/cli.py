@@ -11,8 +11,7 @@ Commands:
 Input is a stream of graph6 lines ("-" or omitted means standard input;
 blank lines and "#" comments are skipped).  Output goes to --output or
 standard output.  All arithmetic is exact; rationals render as "p/q".
-Identical invocations produce byte-identical output, regardless of the
-LOCTURAN_THREADS worker count.
+Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or I/O error,
 3 internal error (a self-check failed).
@@ -57,7 +56,6 @@ from .verify import (
     report_csv_row,
     verify_corpus,
     weightings,
-    worker_count,
 )
 
 
@@ -291,7 +289,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_corpus_source(args: argparse.Namespace) -> None:
+    """verify checks exactly one corpus: --n, --input, or --weights file."""
+    sources = {
+        "--n": args.n is not None,
+        "--input": args.input is not None,
+        "--weights file": args.weights == "file",
+    }
+    given = [flag for flag, on in sources.items() if on]
+    if not given:
+        raise UsageError("verify needs --n, --input, or --weights file")
+    if len(given) > 1:
+        raise UsageError(f"verify takes one corpus source, got {' and '.join(given)}")
+    if args.connected and args.n is None:
+        raise UsageError("--connected applies only to --n")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_corpus_source(args)
     theorems = _parse_theorems(args.theorem)
     roots: str | int = args.roots
     if roots != "all":
@@ -301,10 +316,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"bad --roots value {args.roots!r}") from None
     if args.weights == "random" and args.seed is None:
         raise UsageError("--weights random requires --seed")
-    try:
-        jobs = worker_count()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     s_values = _parse_s_list(args.s)
     if {"gt-path", "gt-star"} & set(theorems) and min(s_values) < 2:
         raise UsageError(f"gt-path and gt-star need --s values >= 2, got {args.s}")
@@ -340,7 +351,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             weights=weights,
             seed=args.seed,
             trials=args.trials,
-            jobs=jobs,
             on_report=sink,
             **corpus,
         )
@@ -555,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify":
-        if args.input is None and args.n is None and args.weights != "file":
-            parser.error("verify needs --n, --input, or --weights file")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -44,9 +44,7 @@ family mismatch.
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -573,22 +571,6 @@ def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
     return out
 
 
-def worker_count() -> int:
-    """The corpus driver's worker processes: LOCTURAN_THREADS, default 1."""
-    raw = os.environ.get("LOCTURAN_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LOCTURAN_THREADS must be an integer, got {raw!r}") from None
-
-
-def _worker(args: tuple[str, CorpusConfig]) -> list[VerificationReport]:
-    from .graphs import parse_graph6
-
-    g6, cfg = args
-    return reports_for_graph(parse_graph6(g6), cfg)
-
-
 @dataclass
 class TheoremSummary:
     theorem: str
@@ -704,15 +686,17 @@ def verify_corpus(
     seed: int | None = None,
     trials: int = 1,
     graphs: Iterable[Graph] | None = None,
-    jobs: int | None = None,
     on_report: Callable[[VerificationReport], None] | None = None,
 ) -> CorpusResult:
     """Run verifiers over a corpus; aggregate slack, equalities, and failures.
 
     The corpus is either `graphs` or every graph with n in `ns` (optionally
-    connected only).  `weights`, `seed` and `trials` select the weightings
-    of each graph, as in `weightings`.  jobs defaults to worker_count().
-    Output is deterministic and identical regardless of worker count.
+    connected only), in enumeration order.  `weights`, `seed` and `trials`
+    select the weightings of each graph, as in `weightings`.  Graphs are
+    drawn one at a time and each graph's reports go to `on_report` before
+    the next is drawn; neither the corpus nor its reports are held.  A
+    failed self-check (RuntimeError) propagates after the earlier graphs'
+    reports have been passed on.  Output is deterministic.
     """
     for thm in theorems:
         if thm not in ALL_THEOREMS:
@@ -726,25 +710,13 @@ def verify_corpus(
         trials=trials,
     )
     if graphs is None:
-        pool: list[Graph] = []
-        for n in ns:
-            pool.extend(enumerate_graphs(n, connected_only=connected_only))
-    else:
-        pool = list(graphs)
-    if jobs is None:
-        jobs = worker_count()
-    if jobs > 1 and len(pool) > 1:
-        args = [(write_graph6(g), cfg) for g in pool]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunk = max(1, len(args) // (jobs * 8))
-            report_lists = list(ex.map(_worker, args, chunksize=chunk))
-    else:
-        report_lists = [reports_for_graph(g, cfg) for g in pool]
-
+        graphs = (
+            g for n in ns for g in enumerate_graphs(n, connected_only=connected_only)
+        )
     summaries = {thm: TheoremSummary(thm) for thm in cfg.theorems}
     failures: list[str] = []
-    for reports in report_lists:
-        for rep in reports:
+    for g in graphs:
+        for rep in reports_for_graph(g, cfg):
             _absorb(summaries[rep.theorem], rep, failures)
             if on_report is not None:
                 on_report(rep)

@@ -1,8 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, error paths.
 
 Commands run in-process through main(argv) with captured streams; one
-subprocess test runs the module entry point (python -m locturan), confirms
-output does not depend on the worker-count environment variable, and pins
+subprocess test runs the module entry point (python -m locturan) and pins
 the console-script mapping in pyproject.toml.  Where the console script is
 installed, it is run as well.
 """
@@ -10,7 +9,6 @@ installed, it is run as well.
 import ast
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -220,6 +218,31 @@ def test_verify_requires_a_corpus_source():
     assert "--n, --input, or --weights file" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "1-5", "--input", "{g6}"], "verify takes one corpus source, got --n and --input"),
+    (["--n", "3", "--weights", "file", "--weights-file", "{wg}"],
+     "verify takes one corpus source, got --n and --weights file"),
+    (["--input", "{g6}", "--weights", "file", "--weights-file", "{wg}"],
+     "verify takes one corpus source, got --input and --weights file"),
+    (["--input", "{g6}", "--connected"], "--connected applies only to --n"),
+    (["--weights", "file", "--weights-file", "{wg}", "--connected"],
+     "--connected applies only to --n"),
+], ids=["n-input", "n-weights-file", "input-weights-file",
+        "connected-input", "connected-weights-file"])
+def test_verify_rejects_conflicting_corpus_sources(tmp_path, flags, message):
+    """A run checks exactly the corpus its flags name, or none at all."""
+    g6 = tmp_path / "one.g6"
+    g6.write_text("Bw\n")
+    wg = tmp_path / "tri.wg"
+    wg.write_text(TRI_WEIGHTS)
+    argv = ["verify", "--theorem", "mt"] + [
+        f.format(g6=g6, wg=wg) for f in flags
+    ]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_json_streams_reports_then_aggregate():
     code, out, _ = run_cli(
         ["verify", "--theorem", "mt,star", "--n", "1-3", "--format", "json"]
@@ -317,14 +340,6 @@ def test_verify_rejects_over_cap_graph():
         "this command supports n <= 12\n"
 
 
-@pytest.mark.parametrize("value", ["abc", ""])
-def test_verify_rejects_non_integer_worker_count(monkeypatch, value):
-    monkeypatch.setenv("LOCTURAN_THREADS", value)
-    code, out, err = run_cli(["verify", "--theorem", "mt", "--n", "3"])
-    assert code == 2 and out == ""
-    assert err == f"error: LOCTURAN_THREADS must be an integer, got {value!r}\n"
-
-
 def test_verify_weights_file_and_input_share_one_path(tmp_path):
     """A unit-weight file takes the same driver path as the graph itself."""
     g = parse_graph6("Cz")  # the diamond: every kind of theorem runs on it
@@ -363,6 +378,29 @@ def test_package_modules_import_no_private_names():
             offenders += [
                 f"{path.name}: {alias.name}" for alias in node.names
                 if sibling and alias.name.startswith("_")
+            ]
+    assert offenders == []
+
+
+def test_package_modules_start_no_processes_and_read_no_environment():
+    """The package runs in one process and takes its settings from flags
+    only: no module imports a process or thread pool or reads os.environ."""
+    package = Path(locturan.__file__).resolve().parent
+    pools = ("concurrent", "multiprocessing")
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}" for name in names
+                if name.split(".")[0] in pools or name in ("os.environ", "os.getenv")
             ]
     assert offenders == []
 
@@ -424,29 +462,38 @@ def test_internal_self_check_failure_exits_three(monkeypatch):
         return EdgeStatProfile("s", {e: v + 1 for e, v in real(g).values.items()})
 
     monkeypatch.setattr("locturan.verify.star_profile", corrupt)
-    # the corruption reaches pool workers only when they are forked
-    threads = ("1", "2") if multiprocessing.get_start_method() == "fork" else ("1",)
-    for value in threads:
-        monkeypatch.setenv("LOCTURAN_THREADS", value)
-        code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
-        assert code == 3
-        assert err == (
-            "internal error: star on BG: "
-            "star statistic disagrees with max-degree form\n"
-        )
+    code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
+    assert code == 3
+    assert err == (
+        "internal error: star on BG: "
+        "star statistic disagrees with max-degree form\n"
+    )
 
 
-def test_verify_output_identical_across_worker_counts(tmp_path, monkeypatch):
-    argv = ["verify", "--theorem", "mt,bbrs,local-bbrs", "--n", "1-4",
-            "--format", "json"]
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LOCTURAN_THREADS", threads)
-        target = tmp_path / f"t{threads}.json"
-        code, out, _ = run_cli(argv + ["--output", str(target)])
-        assert code == 0 and out == ""
-        runs.append(target.read_bytes())
-    assert runs[0] == runs[1]
+def test_internal_error_leaves_earlier_reports_on_stdout(monkeypatch):
+    """Reports stream, so a self-check failure on a later graph leaves the
+    earlier graphs' report lines in place, with no aggregate line."""
+    real = verify.star_profile
+
+    def corrupt(g):
+        prof = real(g)
+        if g.m < 2:
+            return prof
+        return EdgeStatProfile("s", {e: v + 1 for e, v in prof.values.items()})
+
+    monkeypatch.setattr("locturan.verify.star_profile", corrupt)
+    code, out, err = run_cli(
+        ["verify", "--theorem", "star", "--n", "1-3", "--format", "json"]
+    )
+    assert code == 3
+    assert err == (
+        "internal error: star on BW: "
+        "star statistic disagrees with max-degree form\n"
+    )
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 5
+    assert all("aggregate" not in rec for rec in lines)
+    assert [rec["graph6"] for rec in lines] == ["@", "A?", "A_", "B?", "BG"]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +602,8 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 def module_env(**extra):
     """Environment whose PYTHONPATH leads with the directory holding the
-    imported locturan package, so a child process and its pool workers
-    import the code under test from any working directory."""
+    imported locturan package, so a child process imports the code under
+    test from any working directory."""
     package_parent = str(Path(locturan.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = package_parent + (os.pathsep + inherited if inherited else "")
@@ -575,26 +622,15 @@ def assert_script_mapping():
         assert scripts["locturan"] == "locturan.cli:main"
 
 
-def test_console_script_and_worker_env(tmp_path):
+def test_console_script_and_module_entry(tmp_path):
     assert_script_mapping()
 
-    cli = [sys.executable, "-m", "locturan"]
     out = subprocess.run(
-        cli + ["enumerate", "--n", "3"], capture_output=True, text=True,
-        cwd=tmp_path, env=module_env(),
+        [sys.executable, "-m", "locturan", "enumerate", "--n", "3"],
+        capture_output=True, text=True, cwd=tmp_path, env=module_env(),
     )
     assert out.returncode == 0
     assert out.stdout == "B?\nBG\nBW\nBw\n"
-
-    argv = cli + ["verify", "--theorem", "mt,zz", "--n", "1-4",
-                  "--format", "json"]
-    captured = []
-    for threads in ("1", "2"):
-        env = module_env(LOCTURAN_THREADS=threads)
-        res = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env)
-        assert res.returncode == 0
-        captured.append(res.stdout)
-    assert captured[0] == captured[1]
 
 
 @pytest.mark.skipif(shutil.which("locturan") is None,

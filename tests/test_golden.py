@@ -154,16 +154,14 @@ def case_digest(name, wfile, sort_lines=False):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_stdout(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("LOCTURAN_THREADS", raising=False)
+def test_golden_stdout(name, tmp_path):
     wfile = tmp_path / "w.wg"
     wfile.write_text(WEIGHTED)
     assert case_digest(name, wfile) == CASES[name][1]
 
 
-def test_weights_file_report_lines_as_a_set(tmp_path, monkeypatch):
+def test_weights_file_report_lines_as_a_set(tmp_path):
     """The set of report lines of `verify --weights file`, in sorted order."""
-    monkeypatch.delenv("LOCTURAN_THREADS", raising=False)
     wfile = tmp_path / "w.wg"
     wfile.write_text(WEIGHTED)
     assert case_digest("verify-weights-file", wfile, sort_lines=True) == (
@@ -175,7 +173,6 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    os.environ.pop("LOCTURAN_THREADS", None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "w.wg")
         with open(path, "w", encoding="ascii") as fh:

@@ -672,13 +672,6 @@ def test_corpus_rejects_unknown_theorem():
         verify_corpus(("no-such-bound",), ns=(3,))
 
 
-def test_corpus_parallel_matches_serial():
-    kwargs = dict(ns=(1, 2, 3, 4), roots="all")
-    serial = verify_corpus(("mt", "bbrs", "local-bbrs"), jobs=1, **kwargs)
-    parallel = verify_corpus(("mt", "bbrs", "local-bbrs"), jobs=2, **kwargs)
-    assert serial.to_dict() == parallel.to_dict()
-
-
 def test_corpus_on_report_streams_every_report():
     from locturan.graphs import enumerate_graphs
 
@@ -689,6 +682,27 @@ def test_corpus_on_report_streams_every_report():
     assert len(seen) == len(expected) == 8
     assert [r.to_dict() for r in seen] == [r.to_dict() for r in expected]
     assert result.summaries["mt"].checked == 4
+
+
+def test_corpus_streams_reports_before_drawing_the_next_graph():
+    """The first graph's reports are passed on before a second graph is
+    drawn from the corpus, and the corpus is drawn exactly once."""
+    from locturan.graphs import enumerate_graphs
+
+    drawn = []
+
+    def corpus():
+        for g in enumerate_graphs(4):
+            drawn.append(g)
+            yield g
+
+    pulled_at_report = []
+    result = verify_corpus(
+        ("mt",), graphs=corpus(), on_report=lambda rep: pulled_at_report.append(len(drawn))
+    )
+    assert pulled_at_report[0] == 1
+    assert pulled_at_report == list(range(1, 12))
+    assert result.summaries["mt"].checked == 11
 
 
 def test_corpus_connected_only_restricts_pool():
