@@ -40,14 +40,19 @@ of these over enumerated or supplied graphs, under the weightings that
 equality cases, cross-checks equality against family membership in both
 directions where a family is known, and hard-fails on any negative slack or
 family mismatch.
+
+A verifier computes only its bound.  The driver, reports_for_graph, sets
+graph6 on every report and the weighting label on weighted ones; a verifier
+called directly leaves graph6 as "".
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
@@ -99,7 +104,7 @@ class VerificationReport:
     witness: dict | None = None
     reason: str | None = None
 
-    @property
+    @cached_property
     def slack(self) -> Fraction | None:
         if self.lhs is None or self.rhs is None:
             return None
@@ -140,13 +145,20 @@ def report_csv_row(rep: VerificationReport) -> list[str]:
     return ["" if d.get(k) is None else str(d.get(k)) for k in CSV_FIELDS]
 
 
-def _bound(theorem: str, g6: str, lhs: Fraction, rhs: Fraction, **kw) -> VerificationReport:
+def _bound(theorem: str, lhs: Fraction, rhs: Fraction, **kw) -> VerificationReport:
     status = OK if lhs <= rhs else VIOLATED
-    return VerificationReport(theorem, g6, status, Fraction(lhs), Fraction(rhs), **kw)
+    return VerificationReport(theorem, "", status, Fraction(lhs), Fraction(rhs), **kw)
 
 
-def _skipped(theorem: str, g6: str, reason: str, **kw) -> VerificationReport:
-    return VerificationReport(theorem, g6, HYPOTHESIS_NOT_MET, reason=reason, **kw)
+def _skipped(theorem: str, reason: str, **kw) -> VerificationReport:
+    return VerificationReport(theorem, "", HYPOTHESIS_NOT_MET, reason=reason, **kw)
+
+
+def _recip_sum(values: Iterable[int]) -> Fraction:
+    """Sum of 1/x over positive integers x, as one Fraction over their lcm."""
+    xs = list(values)
+    den = lcm(*xs)
+    return Fraction(sum(den // x for x in xs), den)
 
 
 # ---------------------------------------------------------------------------
@@ -222,65 +234,56 @@ def is_diamond(g: Graph) -> bool:
 
 
 def verify_eg_path(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("eg-path", g6, "empty graph")
-    return _bound("eg-path", g6, Fraction(2 * g.m, g.n), Fraction(longest_path(g)))
+        return _skipped("eg-path", "empty graph")
+    return _bound("eg-path", Fraction(2 * g.m, g.n), Fraction(longest_path(g)))
 
 
 def verify_eg_cycle(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     if g.n < 3 or not is_two_edge_connected(g):
-        return _skipped("eg-cycle", g6, "not 2-edge-connected with n >= 3")
+        return _skipped("eg-cycle", "not 2-edge-connected with n >= 3")
     circumference = max(cycle_profile(g).values.values())
-    return _bound("eg-cycle", g6, Fraction(2 * g.m, g.n - 1), Fraction(circumference))
+    return _bound("eg-cycle", Fraction(2 * g.m, g.n - 1), Fraction(circumference))
 
 
 def verify_eg_matching(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     mu = matching_number(g)
     if g.n < 2 * mu + 1:
-        return _skipped("eg-matching", g6, f"needs n >= 2*mu+1 = {2 * mu + 1}")
+        return _skipped("eg-matching", f"needs n >= 2*mu+1 = {2 * mu + 1}")
     rhs = max(comb(2 * mu + 1, 2), comb(mu, 2) + (g.n - mu) * mu)
-    return _bound("eg-matching", g6, Fraction(g.m), Fraction(rhs))
+    return _bound("eg-matching", Fraction(g.m), Fraction(rhs))
 
 
 def verify_bbrs(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     total = sum(longest_vpath(g, v) for v in range(g.n))
-    rep = _bound("bbrs", g6, Fraction(g.m), Fraction(total, 2))
+    rep = _bound("bbrs", Fraction(g.m), Fraction(total, 2))
     rep.family_match = is_disjoint_union_of_cliques(g)
     return rep
 
 
 def verify_mt_path(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("mt", g6, "empty graph")
-    lhs = sum((Fraction(1, p) for p in path_profile(g).values.values()), Fraction(0))
-    return _bound("mt", g6, lhs, Fraction(g.n, 2))
+        return _skipped("mt", "empty graph")
+    lhs = _recip_sum(path_profile(g).values.values())
+    return _bound("mt", lhs, Fraction(g.n, 2))
 
 
 def verify_zz_cycle(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("zz", g6, "empty graph")
-    lhs = sum((Fraction(1, c) for c in cycle_profile(g).values.values()), Fraction(0))
-    return _bound("zz", g6, lhs, Fraction(g.n - 1, 2))
+        return _skipped("zz", "empty graph")
+    lhs = _recip_sum(cycle_profile(g).values.values())
+    return _bound("zz", lhs, Fraction(g.n - 1, 2))
 
 
 def verify_local_bbrs(g: Graph, v: int) -> VerificationReport:
     if not 0 <= v < g.n:
         raise ValueError(f"root {v} out of range")
-    g6 = write_graph6(g)
     if not is_connected(g):
-        return _skipped("local-bbrs", g6, "disconnected", root=v)
+        return _skipped("local-bbrs", "disconnected", root=v)
+    # an edge at v counts 1/(2p), any other edge 1/p
     profile = vpath_profile(g, v).values if g.m else {}
-    lhs = Fraction(0)
-    for e, p in profile.items():
-        share = Fraction(1, 2) if v in e else Fraction(1)
-        lhs += share / p
-    rep = _bound("local-bbrs", g6, lhs, Fraction(g.n - 1, 2), root=v)
+    lhs = _recip_sum(2 * p if v in e else p for e, p in profile.items())
+    rep = _bound("local-bbrs", lhs, Fraction(g.n - 1, 2), root=v)
     rep.family_match = is_cliques_sharing_vertex(g, v)
     if g.n >= 2:
         ell = longest_vpath(g, v)
@@ -292,13 +295,10 @@ def verify_local_bbrs(g: Graph, v: int) -> VerificationReport:
 
 
 def verify_local_matching(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     mu = matching_number(g)
     if mu == 0:
-        return _skipped("local-matching", g6, "no edges")
-    lhs = sum(
-        (Fraction(1, m) for m in matching_profile(g).values.values()), Fraction(0)
-    )
+        return _skipped("local-matching", "no edges")
+    lhs = _recip_sum(matching_profile(g).values.values())
     n = g.n
     boundary = Fraction(5 * mu, 2) + 1
     complete = is_complete_graph(g)
@@ -329,7 +329,7 @@ def verify_local_matching(g: Graph) -> VerificationReport:
         family_b = (Fraction(n) == boundary and in_union) or (
             Fraction(n) >= boundary and in_join
         )
-    rep = _bound("local-matching", g6, lhs, rhs)
+    rep = _bound("local-matching", lhs, rhs)
     rep.family_match = family_a
     rep.witness = {"family_strict_boundary_reading": family_b}
     if n == 2 * mu and family_a and not complete:
@@ -339,79 +339,73 @@ def verify_local_matching(g: Graph) -> VerificationReport:
     return rep
 
 
-def verify_weighted_mt(wg: WeightedGraph, weights_label: str = "unit") -> VerificationReport:
+def verify_weighted_mt(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("weighted-mt", g6, "empty graph", weights=weights_label)
+        return _skipped("weighted-mt", "empty graph")
     wp = weighted_path_profile(wg).values
     lhs = Fraction(0)
     for e, w in wg.weights.items():
         if w:
             lhs += w / wp[e]
-    return _bound("weighted-mt", g6, lhs, Fraction(g.n, 2), weights=weights_label)
+    return _bound("weighted-mt", lhs, Fraction(g.n, 2))
 
 
-def verify_fmr(wg: WeightedGraph, weights_label: str = "unit") -> VerificationReport:
+def verify_fmr(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("fmr", g6, "empty graph", weights=weights_label)
+        return _skipped("fmr", "empty graph")
     lhs = Fraction(2) * wg.total_weight / g.n
-    return _bound("fmr", g6, lhs, max_weight_path(wg), weights=weights_label)
+    return _bound("fmr", lhs, max_weight_path(wg))
 
 
-def verify_bondy_fan(wg: WeightedGraph, weights_label: str = "unit") -> VerificationReport:
+def verify_bondy_fan(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
-    g6 = write_graph6(g)
     if g.n < 3 or not is_two_edge_connected(g):
-        return _skipped("bondy-fan", g6, "not 2-edge-connected with n >= 3", weights=weights_label)
+        return _skipped("bondy-fan", "not 2-edge-connected with n >= 3")
     heaviest = max_weight_cycle(wg)
     if heaviest is None:
         raise RuntimeError("2-edge-connected graph with no cycle; cycle search is corrupt")
     lhs = Fraction(2) * wg.total_weight / (g.n - 1)
-    return _bound("bondy-fan", g6, lhs, heaviest, weights=weights_label)
+    return _bound("bondy-fan", lhs, heaviest)
 
 
 def verify_ning_vpath(g: Graph, v: int) -> VerificationReport:
     if not 0 <= v < g.n:
         raise ValueError(f"root {v} out of range")
-    g6 = write_graph6(g)
     if not is_connected(g):
-        return _skipped("ning-vpath", g6, "disconnected", root=v)
+        return _skipped("ning-vpath", "disconnected", root=v)
     if g.n < 2:
-        return _skipped("ning-vpath", g6, "needs n >= 2", root=v)
+        return _skipped("ning-vpath", "needs n >= 2", root=v)
     lhs = Fraction(2 * g.m - g.degree(v), g.n - 1)
-    return _bound("ning-vpath", g6, lhs, Fraction(longest_vpath(g, v)), root=v)
+    return _bound("ning-vpath", lhs, Fraction(longest_vpath(g, v)), root=v)
 
 
 def verify_gt_path(g: Graph, s: int) -> VerificationReport:
     if s < 2:
         raise ValueError("clique order s must be >= 2")
-    g6 = write_graph6(g)
-    lhs = Fraction(0)
-    for clique in enumerate_cliques(g, s):
-        p = longest_path_with_consecutive_clique(g, clique)
-        lhs += Fraction(1, p - s + 2)
+    lhs = _recip_sum(
+        longest_path_with_consecutive_clique(g, clique) - s + 2
+        for clique in enumerate_cliques(g, s)
+    )
     rhs = Fraction(clique_count(g, s - 1), s)
-    return _bound("gt-path", g6, lhs, rhs, s=s)
+    return _bound("gt-path", lhs, rhs, s=s)
 
 
 def verify_gt_star(g: Graph, s: int) -> VerificationReport:
     if s < 2:
         raise ValueError("clique order s must be >= 2")
-    g6 = write_graph6(g)
-    lhs = Fraction(0)
-    free_lhs = Fraction(0)
+    centered, free = [], []
     for clique in enumerate_cliques(g, s):
-        centered = max_star_over_clique(g, clique, require_center_in_clique=True)
-        free = max_star_over_clique(g, clique)
-        if free < centered:
+        c = max_star_over_clique(g, clique, require_center_in_clique=True)
+        f = max_star_over_clique(g, clique)
+        if f < c:
             raise RuntimeError("free-center star smaller than clique-centered star")
-        lhs += Fraction(1, centered - s + 2)
-        free_lhs += Fraction(1, free - s + 2)
+        centered.append(c - s + 2)
+        free.append(f - s + 2)
+    lhs, free_lhs = _recip_sum(centered), _recip_sum(free)
     rhs = Fraction(clique_count(g, s - 1), s)
-    rep = _bound("gt-star", g6, lhs, rhs, s=s)
+    rep = _bound("gt-star", lhs, rhs, s=s)
     rep.witness = {
         "free_center_lhs": format_rational(free_lhs),
         "readings_agree": free_lhs == lhs,
@@ -420,18 +414,13 @@ def verify_gt_star(g: Graph, s: int) -> VerificationReport:
 
 
 def verify_star_prop(g: Graph) -> VerificationReport:
-    g6 = write_graph6(g)
     if g.n == 0:
-        return _skipped("star", g6, "empty graph")
-    lhs = sum(
-        (Fraction(1, sz) for sz in star_profile(g).values.values()), Fraction(0)
-    )
-    direct = sum(
-        (Fraction(1, max(g.degree(u), g.degree(v))) for u, v in g.edges), Fraction(0)
-    )
+        return _skipped("star", "empty graph")
+    lhs = _recip_sum(star_profile(g).values.values())
+    direct = _recip_sum(max(g.degree(u), g.degree(v)) for u, v in g.edges)
     if lhs != direct:
         raise RuntimeError("star statistic disagrees with max-degree form")
-    return _bound("star", g6, lhs, Fraction(g.n, 2))
+    return _bound("star", lhs, Fraction(g.n, 2))
 
 
 def verify_delta_lemma(g: Graph, s: int) -> VerificationReport:
@@ -439,11 +428,10 @@ def verify_delta_lemma(g: Graph, s: int) -> VerificationReport:
         raise ValueError("clique order s must be >= 1")
     ns = clique_count(g, s)
     if ns == 0:
-        raise ValueError(f"no cliques of order {s}; bound not applicable")
-    g6 = write_graph6(g)
+        return _skipped("delta", f"no cliques of order {s}", s=s)
     lhs = Fraction((s + 1) * clique_count(g, s + 1), ns) + (s - 1)
     delta = max(g.degree(v) for v in range(g.n))
-    rep = _bound("delta", g6, lhs, Fraction(delta), s=s)
+    rep = _bound("delta", lhs, Fraction(delta), s=s)
     # the same clique-ratio quantity also lower-bounds the longest path
     lp = longest_path(g)
     path_ok = lhs <= lp
@@ -502,6 +490,11 @@ class CorpusConfig:
     seed: int | None = None
     trials: int = 1
 
+    def __post_init__(self) -> None:
+        for thm in self.theorems:
+            if thm not in _KIND:
+                raise ValueError(f"unknown theorem id {thm!r}")
+
 
 def weightings(
     g: Graph,
@@ -534,14 +527,20 @@ def weightings(
 
 
 def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
-    """Every report of the configured theorems on g.  A failed self-check
-    (RuntimeError) is re-raised naming the theorem, g and its root, s or
-    weighting, so that the failing case can be replayed."""
+    """Every report of the configured theorems on g.
+
+    This is the one place that names a report: g is encoded in graph6
+    once, and its weightings are derived once (only if a weighted theorem
+    is configured); every report gets that graph6 and every weighted report
+    its weighting's label.  A failed self-check (RuntimeError) is re-raised
+    naming the theorem, g and its root, s or weighting, so that the failing
+    case can be replayed."""
     g6 = write_graph6(g)
+    weighted = []
+    if any(_KIND[thm] == WEIGHTED for thm in cfg.theorems):
+        weighted = weightings(g, cfg.weights, cfg.seed, cfg.trials)
     out: list[VerificationReport] = []
     for thm in cfg.theorems:
-        if thm not in _KIND:
-            raise ValueError(f"unknown theorem id {thm!r}")
         kind, fn = _KIND[thm], _VERIFIERS[thm]
         where = ""
         try:
@@ -551,23 +550,24 @@ def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
                 roots = range(g.n) if cfg.roots == "all" else [int(cfg.roots)]
                 for v in roots:
                     if not 0 <= v < g.n:
-                        out.append(_skipped(thm, g6, f"root {v} out of range for n={g.n}"))
+                        out.append(_skipped(thm, f"root {v} out of range for n={g.n}"))
                         continue
                     where = f", root {v}"
                     out.append(fn(g, v))
             elif kind == CLIQUE:
                 for s in cfg.s_values:
                     where = f", s {s}"
-                    if thm == "delta" and clique_count(g, s) == 0:
-                        out.append(_skipped("delta", g6, f"no cliques of order {s}", s=s))
-                        continue
                     out.append(fn(g, s))
             else:
-                for wg, label in weightings(g, cfg.weights, cfg.seed, cfg.trials):
+                for wg, label in weighted:
                     where = f", weights {label}"
-                    out.append(fn(wg, label))
+                    rep = fn(wg)
+                    rep.weights = label
+                    out.append(rep)
         except RuntimeError as exc:
             raise RuntimeError(f"{thm} on {g6}{where}: {exc}") from exc
+    for rep in out:
+        rep.graph6 = g6
     return out
 
 
@@ -698,9 +698,6 @@ def verify_corpus(
     failed self-check (RuntimeError) propagates after the earlier graphs'
     reports have been passed on.  Output is deterministic.
     """
-    for thm in theorems:
-        if thm not in ALL_THEOREMS:
-            raise ValueError(f"unknown theorem id {thm!r}")
     cfg = CorpusConfig(
         theorems=tuple(theorems),
         roots=roots,

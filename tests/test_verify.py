@@ -2,13 +2,15 @@
 
 Each bound gets at least one equality witness checked by hand, one strict
 case, and its skip or error behavior.  The corpus driver tests cover
-aggregation, family cross-checks, parallel determinism, and label formats.
+aggregation, family cross-checks, streaming order, and label formats.
 """
 
 import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from locturan.graphs import (
     Graph,
@@ -22,9 +24,11 @@ from locturan.graphs import (
     write_graph6,
 )
 from locturan.verify import (
+    ALL_THEOREMS,
     CSV_FIELDS,
     CorpusConfig,
     VerificationReport,
+    _recip_sum,
     is_counterexample,
     report_csv_row,
     reports_for_graph,
@@ -273,7 +277,8 @@ def test_local_matching_join_family_equality():
 
 def test_local_matching_clique_below_boundary_readings_diverge():
     rep = verify_local_matching(complete_graph(5))
-    assert rep.graph6 == "D~{"
+    (named,) = reports_for_graph(complete_graph(5), CorpusConfig(("local-matching",)))
+    assert named.graph6 == "D~{"
     assert rep.lhs == 5 and rep.rhs == 5 and rep.equality
     assert rep.family_match is True
     assert rep.witness["family_strict_boundary_reading"] is False
@@ -322,14 +327,16 @@ def test_weighted_mt_unit_matches_unweighted():
         weighted = verify_weighted_mt(WeightedGraph.unit(g))
         assert (weighted.lhs, weighted.rhs) == (plain.lhs, plain.rhs)
         assert weighted.status == plain.status
-        assert weighted.weights == "unit"
+        (named,) = reports_for_graph(g, CorpusConfig(("weighted-mt",)))
+        assert named.weights == "unit"
 
 
 def test_weighted_mt_zero_weight_edges_drop_out():
     wg = WeightedGraph(complete_graph(3), {(0, 1): 1, (1, 2): 1, (0, 2): 0})
-    rep = verify_weighted_mt(wg, "demo")
+    rep = verify_weighted_mt(wg)
     assert (rep.lhs, rep.rhs) == (1, Fraction(3, 2))
-    assert rep.weights == "demo"
+    (named,) = reports_for_graph(wg.graph, CorpusConfig(("weighted-mt",), weights=wg))
+    assert named.weights == "file"
 
 
 def test_weighted_mt_skips_empty():
@@ -487,8 +494,9 @@ def test_delta_star_strict():
 def test_delta_validation():
     with pytest.raises(ValueError):
         verify_delta_lemma(complete_graph(3), 0)
-    with pytest.raises(ValueError, match="no cliques of order 3"):
-        verify_delta_lemma(cycle_graph(4), 3)
+    rep = verify_delta_lemma(cycle_graph(4), 3)
+    assert rep.status == "hypothesis-not-met" and rep.s == 3
+    assert rep.reason == "no cliques of order 3"
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +678,45 @@ def test_weightings_fixed_graph_is_labelled_file_and_must_match():
 def test_corpus_rejects_unknown_theorem():
     with pytest.raises(ValueError):
         verify_corpus(("no-such-bound",), ns=(3,))
+
+
+def test_corpus_config_rejects_unknown_theorem():
+    with pytest.raises(ValueError, match="no-such-bound"):
+        CorpusConfig(theorems=("no-such-bound",))
+
+
+def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
+    """One graph6 for the reports (and one inside the crc32 seed of the
+    weightings), and one seeded weighting per trial shared by every
+    weighted theorem."""
+    import locturan.verify as verify
+
+    calls = {"write_graph6": 0, "seeded_weights": 0}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("write_graph6")
+    counted("seeded_weights")
+    cfg = CorpusConfig(ALL_THEOREMS, weights="random", seed=7, trials=2)
+    reports = reports_for_graph(complete_graph(4), cfg)
+    assert calls["write_graph6"] <= 2
+    assert calls["seeded_weights"] == 2
+    assert {r.graph6 for r in reports} == {"C~"}
+    weighted = [r for r in reports if r.theorem in ("weighted-mt", "fmr", "bondy-fan")]
+    assert len(weighted) == 6 and all(r.weights.startswith("seed=7;") for r in weighted)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), max_size=30))
+@example([])
+def test_recip_sum_matches_fraction_sum(xs):
+    assert _recip_sum(xs) == sum((Fraction(1, x) for x in xs), Fraction(0))
 
 
 def test_corpus_on_report_streams_every_report():
