@@ -9,6 +9,8 @@ used to put the weighted theorems last); its lines as a set are pinned to
 the earlier output.  The two `enumerate` digests were taken from the
 brute-force (all n! relabellings) canonical search, and the n <= 6 seeded
 weighted digest from the maximal-path enumeration of weighted statistics.
+The n <= 7 proof run was pinned before the cut and clique queries moved to
+bitset reachability and the one clique enumerator.
 To print the digests of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -53,6 +55,10 @@ CASES = {
     "verify-all-n6-json": (
         ["verify", "--theorem", "all", "--n", "1-6", "--format", "json"],
         "432842e0b3047e04d56bceab227d6fb42194cad972c6e583234745b546c402fa",
+    ),
+    "verify-all-n7-json": (
+        ["verify", "--theorem", "all", "--n", "1-7", "--format", "json"],
+        "f1cd01a6be2e932fadf787fcf74068b57e44007b48c437d6cc2ecfd5805676b1",
     ),
     "verify-all-n6-csv": (
         ["verify", "--theorem", "all", "--n", "1-6", "--format", "csv"],
