@@ -136,10 +136,12 @@ def _parse_theorems(values: list[str]) -> list[str]:
         names.extend(tok.strip() for tok in chunk.split(",") if tok.strip())
     if not names or names == ["all"]:
         return list(ALL_THEOREMS)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ALL_THEOREMS:
             known = ", ".join(ALL_THEOREMS)
             raise UsageError(f"unknown theorem {name!r}; known: {known}")
+        if name in names[:i]:
+            raise UsageError(f"theorem {name!r} given more than once")
     return names
 
 
@@ -151,6 +153,11 @@ def _parse_s_list(spec: str) -> tuple[int, ...]:
     if not vals or any(s < 1 for s in vals):
         raise UsageError(f"bad --s list {spec!r}")
     return vals
+
+
+def _check_seed(args: argparse.Namespace) -> None:
+    if args.weights == "random" and args.seed is None:
+        raise UsageError("--weights random requires --seed")
 
 
 def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
@@ -173,8 +180,6 @@ def _weighting(
     """The one weighting of g that `stats --stat w_p` and `spdc` report on."""
     if isinstance(weights, WeightedGraph) and weights.graph != g:
         raise UsageError("--weights-file graph differs from input graph")
-    if weights == "random" and seed is None:
-        raise UsageError("--weights random requires --seed")
     return weightings(g, weights, seed)[0]
 
 
@@ -238,8 +243,6 @@ def _stat_records(
             for e in g.edges:
                 yield base | {"item": _edge_label(e), "value": str(prof.values[e])}
         elif args.stat == "p_v":
-            if args.root is None:
-                raise UsageError("stat p_v requires --root")
             if not 0 <= args.root < g.n:
                 raise UsageError(f"root {args.root} out of range for {g6}")
             try:
@@ -275,6 +278,10 @@ def _stat_records(
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.s < 1:
         raise UsageError(f"--s must be >= 1, got {args.s}")
+    if args.stat == "p_v" and args.root is None:
+        raise UsageError("stat p_v requires --root")
+    if args.stat == "w_p":
+        _check_seed(args)
     weights = _load_weights(args)
     if isinstance(weights, WeightedGraph):
         graphs = [_capped(weights.graph, args.weights_file)]
@@ -314,8 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             roots = int(roots)
         except ValueError:
             raise UsageError(f"bad --roots value {args.roots!r}") from None
-    if args.weights == "random" and args.seed is None:
-        raise UsageError("--weights random requires --seed")
+    _check_seed(args)
     s_values = _parse_s_list(args.s)
     if {"gt-path", "gt-star"} & set(theorems) and min(s_values) < 2:
         raise UsageError(f"gt-path and gt-star need --s values >= 2, got {args.s}")
@@ -385,6 +391,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spdc(args: argparse.Namespace) -> int:
+    _check_seed(args)
     weights = _load_weights(args)
     graphs = _read_graphs(args.input, capped=True)
     records = []
@@ -501,13 +508,12 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
 
-def _add_weight_flags(p: argparse.ArgumentParser, modes=("unit", "random", "file")) -> None:
-    p.add_argument("--weights", choices=modes, default="unit")
+def _add_weight_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--weights", choices=("unit", "random", "file"), default="unit")
     p.add_argument("--seed", type=int, default=None,
                    help="required with --weights random")
-    if "file" in modes:
-        p.add_argument("--weights-file", metavar="PATH", default=None,
-                       help="weighted-graph file for --weights file")
+    p.add_argument("--weights-file", metavar="PATH", default=None,
+                   help="weighted-graph file for --weights file")
 
 
 def build_parser() -> argparse.ArgumentParser:

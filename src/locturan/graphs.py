@@ -16,14 +16,17 @@ whose key prefix is least; twins (same neighbours apart from each other)
 take labels in index order, since permuting twins is an automorphism.
 Enumeration is orderly: a canonical (n-1)-vertex key plus one new column is
 kept iff the search finds no smaller key.
+
+Connectivity and cut structure come from bitset reachability alone, one
+vertex mask grown along the adjacency bitsets: components, cut vertices
+(whose deletion leaves more components) and bridges (edges uv whose
+deletion leaves v unreachable from u).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .rationals import format_rational, parse_rational
@@ -255,14 +258,20 @@ def canonical_form(g: Graph) -> bytes:
     return write_graph6(_graph_from_key(g.n, _min_key(g.adj))).encode("ascii")
 
 
-@lru_cache(maxsize=None)
+_KEYS: dict[int, tuple[int, ...]] = {1: (0,)}  # canonical keys by order
+
+
 def _representatives(n: int) -> tuple[int, ...]:
-    """Canonical keys of the n-vertex classes, ascending."""
-    if n == 1:
-        return (0,)
-    candidates = (parent << (n - 1) | col for parent in _representatives(n - 1)
-                  for col in range(1 << (n - 1)))
-    return tuple(k for k in candidates if _min_key(_graph_from_key(n, k).adj, k) == k)
+    """Canonical keys of the n-vertex classes, ascending.  Each order is
+    built once, from the keys of the order below, and kept."""
+    for m in range(2, n + 1):
+        if m not in _KEYS:
+            candidates = (parent << (m - 1) | col for parent in _KEYS[m - 1]
+                          for col in range(1 << (m - 1)))
+            _KEYS[m] = tuple(
+                k for k in candidates if _min_key(_graph_from_key(m, k).adj, k) == k
+            )
+    return _KEYS[n]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -283,28 +292,30 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 # connectivity and cut structure
 
 
+def _reach(adj: tuple[int, ...], v: int, within: int) -> int:
+    """Mask of the vertices that v reaches in the graph with adjacency
+    bitsets adj, through vertices of the vertex mask `within` only."""
+    comp = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def component_masks(g: Graph, within: int | None = None) -> list[int]:
     """Vertex masks of the components of g, or of g[within] for a vertex
     mask `within`, in order of their least vertex."""
-    if within is None:
-        within = (1 << g.n) - 1
-    seen = 0
+    full = (1 << g.n) - 1
+    within = full if within is None else within & full
     out = []
-    for v in range(g.n):
-        if not within >> v & 1 or seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= g.adj[low.bit_length() - 1] & within
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
+    while within:
+        comp = _reach(g.adj, (within & -within).bit_length() - 1, within)
+        within ^= comp
         out.append(comp)
     return out
 
@@ -328,31 +339,18 @@ def is_connected(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> list[int]:
-    """Articulation points, by DFS lowpoints."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    cut: set[int] = set()
-    counter = itertools.count()
+    """Articulation points: the vertices whose deletion leaves more
+    components."""
+    full = (1 << g.n) - 1
+    k = len(component_masks(g))
+    return [v for v in range(g.n) if len(component_masks(g, full ^ 1 << v)) > k]
 
-    def dfs(u: int, parent: int) -> None:
-        disc[u] = low[u] = next(counter)
-        children = 0
-        for w in g.neighbors(u):
-            if disc[w] == -1:
-                children += 1
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if parent != -1 and low[w] >= disc[u]:
-                    cut.add(u)
-            elif w != parent:
-                low[u] = min(low[u], disc[w])
-        if parent == -1 and children >= 2:
-            cut.add(u)
 
-    for v in range(g.n):
-        if disc[v] == -1:
-            dfs(v, -1)
-    return sorted(cut)
+def _is_bridge(g: Graph, u: int, v: int) -> bool:
+    """Whether v is unreachable from u once the edge uv is deleted, that is,
+    whether no other neighbour of u is reachable from v in g - u."""
+    rest = ((1 << g.n) - 1) ^ (1 << u)
+    return not _reach(g.adj, v, rest) & g.adj[u] & ~(1 << v)
 
 
 def cut_edges_and_2ec_pieces(g: Graph) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -361,36 +359,14 @@ def cut_edges_and_2ec_pieces(g: Graph) -> tuple[list[tuple[int, int]], list[list
     Deleting exactly the returned cut edges yields the returned pieces as
     components, and no piece has a cut edge of its own.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: list[tuple[int, int]] = []
-    counter = itertools.count()
-
-    def dfs(u: int, parent_edge: tuple[int, int] | None) -> None:
-        disc[u] = low[u] = next(counter)
-        for w in g.neighbors(u):
-            if disc[w] == -1:
-                dfs(w, (u, w))
-                low[u] = min(low[u], low[w])
-                if low[w] > disc[u]:
-                    bridges.append((min(u, w), max(u, w)))
-            elif parent_edge is None or w != parent_edge[0]:
-                low[u] = min(low[u], disc[w])
-
-    for v in range(g.n):
-        if disc[v] == -1:
-            dfs(v, None)
-    bridges.sort()
-    stripped = Graph(g.n, [e for e in g.edges if e not in set(bridges)])
-    pieces = connected_components(stripped)
-    return bridges, pieces
+    bridges = [e for e in g.edges if _is_bridge(g, *e)]
+    stripped = Graph(g.n, [e for e in g.edges if e not in bridges])
+    return bridges, connected_components(stripped)
 
 
 def is_two_edge_connected(g: Graph) -> bool:
     """Connected with no cut edge."""
-    if not is_connected(g):
-        return False
-    return not cut_edges_and_2ec_pieces(g)[0]
+    return is_connected(g) and not any(_is_bridge(g, u, v) for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------

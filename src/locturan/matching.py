@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .graphs import Graph, component_masks, induced_subgraph, mask_vertices
-from .stats import match_table, matching_number
+from .stats import enumerate_cliques, match_table, matching_number
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -149,28 +149,6 @@ def nw_bound(s: int, k: int, n: int) -> int:
     return comb(s, 2) + (2 * k - s + 1) * (n - s)
 
 
-def _maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques (deterministic order)."""
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            if r:
-                out.append(r)
-            return
-        pp = p
-        while pp:
-            low = pp & -pp
-            pp ^= low
-            v = low.bit_length() - 1
-            bk(r | low, p & g.adj[v], x & g.adj[v])
-            p ^= low
-            x |= low
-
-    bk(0, (1 << g.n) - 1, 0)
-    return sorted(tuple(mask_vertices(m)) for m in out)
-
-
 @dataclass(frozen=True)
 class CliqueBoundReport:
     """Edge-count check of the closed graph against f(s) case analysis."""
@@ -190,8 +168,8 @@ def nw_bound_check(g: Graph) -> CliqueBoundReport:
     """Check e(closure) against f(s) on the high-degree core's clique.
 
     Gamma is the (2k+1)-closure for k = mu(G); the core is the set of
-    vertices of Gamma-degree >= k+1.  When the core is a clique of Gamma it
-    extends to a maximal clique S (largest, lex-least), and the case
+    vertices of Gamma-degree >= k+1.  When the core is a clique of Gamma,
+    S is the lex-least largest clique containing it (so maximal), and the case
     analysis says: s <= k implies e(Gamma) <= f(k); k+1 <= s <= 2k+1
     implies e(Gamma) <= max{f(t), f(k+1)} for every t in [s, 2k+1].
     """
@@ -199,20 +177,16 @@ def nw_bound_check(g: Graph) -> CliqueBoundReport:
     gamma = k_closure(g, 2 * k + 1).graph
     e_gamma = gamma.m
     core = tuple(v for v in range(gamma.n) if gamma.degree(v) >= k + 1)
-    for i, u in enumerate(core):
-        for v in core[i + 1:]:
-            if not gamma.has_edge(u, v):
-                return CliqueBoundReport(
-                    False, "core is not a clique of the closure", k, e_gamma,
-                    core, None, None, (), True,
-                )
-    candidates = [c for c in _maximal_cliques(gamma) if set(core) <= set(c)]
-    if not candidates:
+    if any(not gamma.has_edge(u, v) for i, u in enumerate(core) for v in core[i + 1:]):
+        return CliqueBoundReport(False, "core is not a clique of the closure", k, e_gamma,
+                                 core, None, None, (), True)
+    # the first clique containing the core, by size descending and then lex
+    clique = next((c for s in range(gamma.n, 0, -1) for c in enumerate_cliques(gamma, s)
+                   if set(core).issubset(c)), None)
+    if clique is None:
         # only possible when the graph is empty of vertices
         return CliqueBoundReport(False, "no clique contains the core", k, e_gamma,
                                  core, None, None, (), True)
-    s_max = max(len(c) for c in candidates)
-    clique = min(c for c in candidates if len(c) == s_max)
     s = len(clique)
     checks: list[tuple[str, int, bool]] = []
     if s <= k:

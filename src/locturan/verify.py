@@ -58,11 +58,11 @@ from typing import Callable, Iterable, Sequence
 from .graphs import (
     Graph,
     WeightedGraph,
-    connected_components,
+    component_masks,
     enumerate_graphs,
-    induced_subgraph,
     is_connected,
     is_two_edge_connected,
+    mask_vertices,
     seeded_weights,
     write_graph6,
 )
@@ -169,10 +169,12 @@ def is_complete_graph(g: Graph) -> bool:
     return g.m == comb(g.n, 2)
 
 
+def _is_clique(g: Graph, mask: int) -> bool:
+    return all((g.adj[u] | 1 << u) & mask == mask for u in mask_vertices(mask))
+
+
 def is_disjoint_union_of_cliques(g: Graph) -> bool:
-    return all(
-        is_complete_graph(induced_subgraph(g, comp)) for comp in connected_components(g)
-    )
+    return all(_is_clique(g, comp) for comp in component_masks(g))
 
 
 def is_cliques_sharing_vertex(g: Graph, v: int) -> bool:
@@ -182,13 +184,8 @@ def is_cliques_sharing_vertex(g: Graph, v: int) -> bool:
     induces a complete graph.  That forces each component vertex adjacent
     to v, and cross-clique edges cannot exist between components.
     """
-    others = [w for w in range(g.n) if w != v]
-    sub = induced_subgraph(g, others)
-    for comp in connected_components(sub):
-        block = [others[i] for i in comp] + [v]
-        if not is_complete_graph(induced_subgraph(g, block)):
-            return False
-    return True
+    rest = ((1 << g.n) - 1) ^ (1 << v)
+    return all(_is_clique(g, comp | 1 << v) for comp in component_masks(g, rest))
 
 
 def is_clique_union_isolated(g: Graph, r: int) -> bool:
@@ -201,11 +198,9 @@ def is_clique_union_isolated(g: Graph, r: int) -> bool:
 
 def is_join_clique_empty(g: Graph, mu: int) -> bool:
     """K_mu joined to an independent set on the remaining vertices."""
-    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(hubs) != mu:
-        return False
-    rest = [v for v in range(g.n) if v not in hubs]
-    return induced_subgraph(g, rest).m == 0
+    hubs = sum(1 << v for v in range(g.n) if g.degree(v) == g.n - 1)
+    rest = ((1 << g.n) - 1) ^ hubs
+    return hubs.bit_count() == mu and not any(g.adj[u] & rest for u in mask_vertices(rest))
 
 
 def is_star(g: Graph) -> bool:
@@ -494,6 +489,8 @@ class CorpusConfig:
         for thm in self.theorems:
             if thm not in _KIND:
                 raise ValueError(f"unknown theorem id {thm!r}")
+        if len(set(self.theorems)) != len(self.theorems):
+            raise ValueError(f"repeated theorem id in {self.theorems}")
 
 
 def weightings(

@@ -228,6 +228,25 @@ def naive_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def naive_components(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the components, by depth-first search over neighbors."""
+    out: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for v in range(g.n):
+        if v in seen:
+            continue
+        comp = {v}
+        frontier = [v]
+        while frontier:
+            for w in g.neighbors(frontier.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
 def iter_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -336,3 +355,62 @@ def frozen_corpus(max_n: int, connected_only: bool = False) -> list[Graph]:
     for n in range(1, max_n + 1):
         out.extend(enumerate_graphs(n, connected_only=connected_only))
     return out
+
+
+# ---------------------------------------------------------------------------
+# equality families and cliques, by subset enumeration
+
+
+def naive_is_clique(g: Graph, vertices) -> bool:
+    return all(g.has_edge(a, b) for a, b in combinations(vertices, 2))
+
+
+def set_partitions(items: list[int]):
+    """Every partition of items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _split_into_cliques(g: Graph, vertices: list[int], hub: tuple[int, ...]) -> bool:
+    """Some partition of vertices into blocks B makes every B + hub a clique
+    and leaves no edge between two blocks."""
+    for part in set_partitions(vertices):
+        owner = {v: i for i, block in enumerate(part) for v in block}
+        if all(naive_is_clique(g, list(block) + list(hub)) for block in part) and all(
+            owner[u] == owner[v] for u, v in g.edges if u in owner and v in owner
+        ):
+            return True
+    return False
+
+
+def naive_disjoint_union_of_cliques(g: Graph) -> bool:
+    """G is a union of vertex-disjoint cliques with no other edges."""
+    return _split_into_cliques(g, list(range(g.n)), ())
+
+
+def naive_cliques_sharing_vertex(g: Graph, v: int) -> bool:
+    """G is a union of cliques that pairwise meet exactly in v."""
+    return _split_into_cliques(g, [u for u in range(g.n) if u != v], (v,))
+
+
+def naive_join_clique_empty(g: Graph, mu: int) -> bool:
+    """Some mu vertices are each adjacent to every other vertex and the
+    remaining vertices span no edge."""
+    return any(
+        all(g.degree(h) == g.n - 1 for h in hub)
+        and not any(u not in hub and v not in hub for u, v in g.edges)
+        for hub in combinations(range(g.n), mu)
+    )
+
+
+def naive_largest_clique_containing(g: Graph, core) -> tuple[int, ...] | None:
+    """The lex-least among the largest cliques that contain core."""
+    cliques = [c for k in range(1, g.n + 1) for c in combinations(range(g.n), k)
+               if set(core) <= set(c) and naive_is_clique(g, c)]
+    return min(cliques, key=lambda c: (-len(c), c), default=None)

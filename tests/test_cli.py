@@ -147,6 +147,17 @@ def test_stats_rooted_requires_root():
     assert code == 2 and "out of range" in err
 
 
+@pytest.mark.parametrize("stdin", ["Bw\n", ""], ids=["one-graph", "empty"])
+@pytest.mark.parametrize("flags", [
+    ["--stat", "p_v"],
+    ["--stat", "w_p", "--weights", "random"],
+], ids=["p_v-without-root", "w_p-random-without-seed"])
+def test_stats_flag_errors_come_before_any_output(flags, stdin):
+    code, out, err = run_cli(["stats", *flags, "--format", "csv"], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_stats_clique_profile_sorted_items():
     _, out, _ = run_cli(
         ["stats", "--stat", "p_S", "--s", "2", "--format", "json"], stdin="Bw\n"
@@ -410,6 +421,16 @@ def test_verify_rejects_unknown_theorem():
     assert code == 2 and "unknown theorem" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "mt,mt"],
+    ["--theorem", "mt", "--theorem", "star,mt"],
+], ids=["comma-list", "repeated-flag"])
+def test_verify_rejects_repeated_theorem(flags):
+    code, out, err = run_cli(["verify", *flags, "--n", "1-3"])
+    assert (code, out) == (2, "")
+    assert err == "error: theorem 'mt' given more than once\n"
+
+
 def test_verify_weighted_graph_file_route(tmp_path):
     wfile = tmp_path / "tri.wg"
     wfile.write_text(TRI_WEIGHTS)
@@ -519,6 +540,13 @@ def test_spdc_text_certificate():
     code, out, _ = run_cli(["spdc", "--format", "text"], stdin="Bw\n")
     assert code == 0
     assert out == "# Bw\n0 1 2\n1 0 2\n0 2 1\n# certified 3/2 <= 3/2\n"
+
+
+@pytest.mark.parametrize("stdin", ["Bw\n", ""], ids=["one-graph", "empty"])
+def test_spdc_random_weights_require_seed(stdin):
+    code, out, err = run_cli(["spdc", "--weights", "random"], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == "error: --weights random requires --seed\n"
 
 
 def test_spdc_weights_file_must_match_graph(tmp_path):

@@ -11,10 +11,13 @@ from conftest import (
     brute_canonical_key,
     brute_iso_classes,
     find_isomorphism,
+    frozen_corpus,
     independent_graph6_decode,
     iter_labeled_graphs,
     labeled_key,
+    naive_components,
     naive_connected,
+    naive_induced,
     random_graph,
     relabel,
 )
@@ -309,18 +312,25 @@ def test_cut_vertices_examples():
     assert cut_vertices(path_graph(4)) == [1, 2]
 
 
+def check_cut_vertices_by_removal(g: Graph) -> None:
+    before = len(naive_components(g))
+    expect = [
+        v for v in range(g.n)
+        if len(naive_components(naive_induced(g, [u for u in range(g.n) if u != v])))
+        > before
+    ]
+    assert cut_vertices(g) == expect
+
+
 def test_cut_vertices_against_removal_oracle():
     rng = random.Random(13)
     for _ in range(40):
-        g = random_graph(rng, rng.randrange(2, 8), rng.random())
-        before = len(connected_components(g))
-        expect = []
-        for v in range(g.n):
-            rest = [u for u in range(g.n) if u != v]
-            after = len(connected_components(induced_subgraph(g, rest)))
-            if after > before:
-                expect.append(v)
-        assert cut_vertices(g) == expect
+        check_cut_vertices_by_removal(random_graph(rng, rng.randrange(2, 8), rng.random()))
+
+
+def test_cut_vertices_removal_oracle_every_class_n7():
+    for g in frozen_corpus(7):
+        check_cut_vertices_by_removal(g)
 
 
 def test_cut_edges_examples():
@@ -336,29 +346,31 @@ def test_cut_edges_examples():
     assert sorted(len(p) for p in pieces) == [3, 3]
 
 
+def check_cut_edges_by_removal(g: Graph) -> None:
+    expect = []
+    for e in g.edges:
+        h = Graph(g.n, [d for d in g.edges if d != e])
+        if not any(set(e) <= comp for comp in naive_components(h)):
+            expect.append(e)
+    cuts, pieces = cut_edges_and_2ec_pieces(g)
+    assert cuts == expect
+    assert is_two_edge_connected(g) == (len(naive_components(g)) <= 1 and not expect)
+    # deleting exactly the cut edges yields exactly the pieces
+    h = Graph(g.n, [d for d in g.edges if d not in cuts])
+    assert sorted(sorted(c) for c in naive_components(h)) == sorted(pieces)
+    for p in pieces:
+        assert cut_edges_and_2ec_pieces(naive_induced(h, p))[0] == []
+
+
 def test_cut_edges_against_removal_oracle():
     rng = random.Random(17)
     for _ in range(40):
-        g = random_graph(rng, rng.randrange(2, 8), rng.random())
-        expect = []
-        for e in g.edges:
-            others = [d for d in g.edges if d != e]
-            h = Graph(g.n, others)
-            u, _ = e
-            comp_with = next(c for c in connected_components(g) if u in c)
-            comp_without = next(c for c in connected_components(h) if u in c)
-            if len(comp_without) < len(comp_with):
-                expect.append(e)
-        cuts, pieces = cut_edges_and_2ec_pieces(g)
-        assert cuts == expect
-        # deleting exactly the cut edges yields exactly the pieces
-        h = Graph(g.n, [d for d in g.edges if d not in cuts])
-        assert sorted(map(tuple, connected_components(h))) == sorted(
-            map(tuple, pieces)
-        )
-        for p in pieces:
-            sub = induced_subgraph(h, p)
-            assert cut_edges_and_2ec_pieces(sub)[0] == []
+        check_cut_edges_by_removal(random_graph(rng, rng.randrange(2, 8), rng.random()))
+
+
+def test_cut_edges_removal_oracle_every_class_n7():
+    for g in frozen_corpus(7):
+        check_cut_edges_by_removal(g)
 
 
 def test_two_edge_connected():

@@ -9,6 +9,7 @@ from conftest import (
     frozen_corpus,
     naive_d_set,
     naive_factor_critical,
+    naive_largest_clique_containing,
     naive_mu,
     random_graph,
 )
@@ -201,6 +202,20 @@ def test_nw_bound_check_corpus_mu23_n6():
             seen_applicable += 1
             assert rep.checks
     assert seen_applicable > 0
+
+
+def test_nw_bound_check_clique_is_lex_least_largest_through_core_n6():
+    anchored = 0
+    for g in frozen_corpus(6):
+        rep = nw_bound_check(g)
+        if rep.reason == "core is not a clique of the closure":
+            assert rep.clique is None
+            continue
+        gamma = k_closure(g, 2 * matching_number(g) + 1).graph
+        assert rep.clique == naive_largest_clique_containing(gamma, rep.core)
+        assert rep.s == len(rep.clique)
+        anchored += 1
+    assert anchored > 0
 
 
 def test_stability_examples():

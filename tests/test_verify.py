@@ -12,6 +12,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import (
+    frozen_corpus,
+    naive_cliques_sharing_vertex,
+    naive_disjoint_union_of_cliques,
+    naive_join_clique_empty,
+)
 from locturan.graphs import (
     Graph,
     WeightedGraph,
@@ -49,7 +55,9 @@ from locturan.verify import (
     verify_star_prop,
     verify_weighted_mt,
     verify_zz_cycle,
+    is_cliques_sharing_vertex,
     is_disjoint_union_of_cliques,
+    is_join_clique_empty,
     weightings,
 )
 
@@ -593,6 +601,22 @@ def test_corpus_family_checks_are_biconditional_through_n5():
         assert result.summaries[thm].family_mismatches == []
 
 
+def test_family_matchers_against_subset_definitions_n6():
+    for g in frozen_corpus(6):
+        assert is_disjoint_union_of_cliques(g) == naive_disjoint_union_of_cliques(g)
+        for v in range(g.n):
+            assert is_cliques_sharing_vertex(g, v) == naive_cliques_sharing_vertex(g, v)
+        for mu in range(g.n + 2):
+            expect = naive_join_clique_empty(g, mu)
+            if mu == g.n - 1 and g.m == g.n * (g.n - 1) // 2:
+                # K_n is K_{n-1} joined to one vertex, but the matcher
+                # counts all n vertices as hubs; local-matching calls it
+                # only with n >= 2 mu + 1, where the split is unique
+                assert expect and not is_join_clique_empty(g, mu)
+                continue
+            assert is_join_clique_empty(g, mu) == expect
+
+
 def test_corpus_reading_divergence_recorded_for_clique_below_boundary():
     result = verify_corpus(("local-matching",), ns=(5,))
     assert result.ok
@@ -683,6 +707,13 @@ def test_corpus_rejects_unknown_theorem():
 def test_corpus_config_rejects_unknown_theorem():
     with pytest.raises(ValueError, match="no-such-bound"):
         CorpusConfig(theorems=("no-such-bound",))
+
+
+def test_corpus_rejects_repeated_theorem():
+    with pytest.raises(ValueError, match="repeated"):
+        CorpusConfig(theorems=("mt", "star", "mt"))
+    with pytest.raises(ValueError):
+        verify_corpus(("mt", "mt"), ns=(3,))
 
 
 def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
