@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     WeightedGraph,
     enumerate_graphs,
+    is_connected,
     parse_graph6,
     parse_weighted_graph,
     write_graph6,
@@ -243,12 +244,7 @@ def _stat_records(
             for e in g.edges:
                 yield base | {"item": _edge_label(e), "value": str(prof.values[e])}
         elif args.stat == "p_v":
-            if not 0 <= args.root < g.n:
-                raise UsageError(f"root {args.root} out of range for {g6}")
-            try:
-                prof = vpath_profile(g, args.root)
-            except ValueError as exc:
-                raise UsageError(f"{g6}: {exc}") from None
+            prof = vpath_profile(g, args.root)
             for e in g.edges:
                 yield base | {
                     "item": _edge_label(e),
@@ -287,6 +283,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
         graphs = [_capped(weights.graph, args.weights_file)]
     else:
         graphs = _read_graphs(args.input, capped=True)
+    if args.stat == "p_v":
+        # every graph is checked before the first record is written
+        for g in graphs:
+            if not 0 <= args.root < g.n:
+                raise UsageError(f"root {args.root} out of range for {write_graph6(g)}")
+            if not is_connected(g):
+                raise UsageError(f"{write_graph6(g)}: p_v(e) requires a connected graph")
     fields = ("graph6", "stat", "item", "root", "s", "weights", "value")
     out = _open_output(args.output)
     try:
@@ -398,15 +401,15 @@ def cmd_spdc(args: argparse.Namespace) -> int:
     covers = []
     for g in graphs:
         g6 = write_graph6(g)
+        wg, label = _weighting(g, weights, args.seed)
         try:
             cover = find_spdc(g)
-        except ValueError as exc:
-            raise UsageError(f"{g6}: {exc}") from None
-        if not validate_pdc(g, cover).valid:
-            raise RuntimeError(f"{g6}: constructed cover failed validation")
+            if not validate_pdc(g, cover).valid:
+                raise RuntimeError("constructed cover failed validation")
+            bound = bound_from_cover(wg, cover)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{g6}: {exc}") from exc
         covers.append(cover)
-        wg, label = _weighting(g, weights, args.seed)
-        bound = bound_from_cover(wg, cover)
         records.append(
             {
                 "graph6": g6,

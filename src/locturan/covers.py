@@ -7,6 +7,16 @@ simple path through it that stays on edges with remaining demand, longest
 candidates first.  The search is deterministic, so repeated runs emit the
 same cover.
 
+Two prunes keep it fast on dense graphs (K7 in milliseconds).  A path
+passes through a vertex at most once, so it covers at most two edges there:
+a state in which the demand left on the edges at some vertex exceeds twice
+the number of paths still allowed cannot be completed.  And the rest of the
+search depends only on the number of paths chosen and the demand left on
+each edge, so a state whose subtree has failed once is not searched again.
+Both cut only branches that hold no cover, so the search visits the
+successful branches in the same order and returns the same first cover as
+it does without them.
+
 bound_from_cover turns a cover into the certificate chain for the weighted
 path-sum bound: with t the number of paths carrying at least one edge,
 
@@ -84,13 +94,21 @@ def validate_pdc(g: Graph, cover: PathDoubleCover) -> CoverVerdict:
 
 
 def find_spdc(g: Graph) -> PathDoubleCover:
-    """A path double cover with at most g.n paths (empty for edgeless graphs)."""
+    """A path double cover with at most g.n paths (empty for edgeless graphs).
+
+    A state is cut when some vertex has more demand left than 2 x (paths
+    left), or when the same (paths chosen, demand per edge) state has failed
+    before.  Neither cut loses a cover, so the first cover found is the one
+    the search without them finds.
+    """
     if not g.edges:
         return PathDoubleCover(())
     n = g.n
     demand = {e: 2 for e in g.edges}
+    load = [2 * g.degree(v) for v in range(n)]  # demand left on the edges at v
     alive = list(g.adj)
     chosen: list[tuple[int, ...]] = []
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def half_paths(start: int, banned: int) -> list[tuple[tuple[int, ...], int]]:
         out: list[tuple[tuple[int, ...], int]] = []
@@ -113,6 +131,8 @@ def find_spdc(g: Graph) -> PathDoubleCover:
         for a, b in zip(seq, seq[1:]):
             e = (a, b) if a < b else (b, a)
             demand[e] -= 1
+            load[a] -= 1
+            load[b] -= 1
             if demand[e] == 0:
                 alive[a] &= ~(1 << b)
                 alive[b] &= ~(1 << a)
@@ -124,14 +144,18 @@ def find_spdc(g: Graph) -> PathDoubleCover:
                 alive[a] |= 1 << b
                 alive[b] |= 1 << a
             demand[e] += 1
+            load[a] += 1
+            load[b] += 1
 
     def search() -> bool:
         target = next((e for e in g.edges if demand[e] > 0), None)
         if target is None:
             return True
-        if len(chosen) >= n:
+        left = n - len(chosen)
+        if sum(demand.values()) > left * (n - 1) or max(load) > 2 * left:
             return False
-        if sum(demand.values()) > (n - len(chosen)) * (n - 1):
+        state = (len(chosen), tuple(demand.values()))
+        if state in failed:
             return False
         a, b = target
         lefts = half_paths(a, 1 << b)
@@ -150,6 +174,7 @@ def find_spdc(g: Graph) -> PathDoubleCover:
                 return True
             chosen.pop()
             undo(path)
+        failed.add(state)
         return False
 
     if not search():

@@ -156,11 +156,11 @@ def test_criterion_4_weighted_bounds_under_seeded_and_unit_weights():
 
 
 def test_criterion_5_small_path_double_covers_with_doubling_identity():
-    """Every connected graph with n <= 6 gets a validator-passing path double
+    """Every connected graph with n <= 7 gets a validator-passing path double
     cover of at most n paths, and summing edge contributions path by path
     doubles the per-edge sum exactly, under unit and seeded random weights."""
     rng = random.Random(95417)
-    for g in frozen_corpus(6, connected_only=True):
+    for g in frozen_corpus(7, connected_only=True):
         cover = find_spdc(g)
         verdict = validate_pdc(g, cover)
         assert verdict.valid, write_graph6(g)

@@ -158,6 +158,18 @@ def test_stats_flag_errors_come_before_any_output(flags, stdin):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("stdin, root, message", [
+    ("Bw\nA_\n", "2", "error: root 2 out of range for A_\n"),
+    ("Bw\nB?\n", "0", "error: B?: p_v(e) requires a connected graph\n"),
+], ids=["root-out-of-range", "disconnected"])
+def test_stats_rooted_input_errors_come_before_any_output(stdin, root, message):
+    """A bad later graph stops the run before the earlier graphs' rows."""
+    code, out, err = run_cli(
+        ["stats", "--stat", "p_v", "--root", root, "--format", "csv"], stdin=stdin
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_stats_clique_profile_sorted_items():
     _, out, _ = run_cli(
         ["stats", "--stat", "p_S", "--s", "2", "--format", "json"], stdin="Bw\n"
@@ -547,6 +559,16 @@ def test_spdc_random_weights_require_seed(stdin):
     code, out, err = run_cli(["spdc", "--weights", "random"], stdin=stdin)
     assert (code, out) == (2, "")
     assert err == "error: --weights random requires --seed\n"
+
+
+def test_spdc_internal_error_names_graph(monkeypatch):
+    def exhausted(g):
+        raise RuntimeError("internal search exhaustion")
+
+    monkeypatch.setattr("locturan.cli.find_spdc", exhausted)
+    code, out, err = run_cli(["spdc"], stdin="Bw\n")
+    assert (code, out) == (3, "")
+    assert err == "internal error: Bw: internal search exhaustion\n"
 
 
 def test_spdc_weights_file_must_match_graph(tmp_path):

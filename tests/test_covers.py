@@ -1,6 +1,8 @@
 """Path double covers: validation, construction, certified bound chain."""
 
+import hashlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -20,8 +22,10 @@ from locturan.graphs import (
     WeightedGraph,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from locturan.stats import weighted_path_profile
 
@@ -74,6 +78,49 @@ def test_spdc_whole_corpus_n5():
         cover = find_spdc(g)
         assert validate_pdc(g, cover).valid
         assert len(cover) <= g.n
+
+
+# SHA-256 of one "graph6 path|path|..." line per class with n <= 7, in
+# enumeration order.  Before the per-vertex demand bound and the failed-state
+# memo went in, the unpruned search gave the same covers on every class.
+SPDC_N7_DIGEST = "aa3bff04c38294c80f0d4968b78e1a8b70466b6f034de569e00305fbf871349f"
+
+# the dense n = 7 classes on which the unpruned search took 0.6 s to 52 s
+FORMER_RUNAWAYS = ("FJ~vw", "FNznw", "FJ~~w", "FNz~w", "FN~~w", "F]~~w", "F~~~w")
+
+
+def test_spdc_every_class_through_n7_is_pinned():
+    lines = []
+    for g in frozen_corpus(7):
+        cover = find_spdc(g)
+        assert validate_pdc(g, cover).valid and len(cover) <= g.n, write_graph6(g)
+        paths = "|".join("-".join(map(str, p)) for p in cover.paths)
+        lines.append(f"{write_graph6(g)} {paths}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SPDC_N7_DIGEST
+
+
+class CpuBudgetExceeded(Exception):
+    pass
+
+
+def test_spdc_former_runaways_within_cpu_budget():
+    """All seven together get 2 s of process CPU, about 30 times what they
+    need, so a search that runs away again fails here instead of hanging."""
+
+    def expire(signum, frame):
+        raise CpuBudgetExceeded("find_spdc exceeded its 2 s CPU budget")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, 2)
+    try:
+        for g6 in FORMER_RUNAWAYS:
+            g = parse_graph6(g6)
+            cover = find_spdc(g)
+            assert validate_pdc(g, cover).valid, g6
+            assert len(cover) <= g.n, g6
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def test_spdc_seeded_random_up_to_n10():
