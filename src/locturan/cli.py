@@ -69,13 +69,17 @@ class UsageError(Exception):
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    name = "stdin" if path in (None, "-") else path
     try:
+        if path in (None, "-"):
+            return sys.stdin.read()
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot read {name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise UsageError(f"cannot read {name}: byte {bad:#04x} is not ASCII") from None
 
 
 def _read_graphs(path: str | None, capped: bool = False) -> list[Graph]:
@@ -151,8 +155,8 @@ def _parse_s_list(spec: str) -> tuple[int, ...]:
         vals = tuple(int(tok) for tok in spec.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"bad --s list {spec!r}") from None
-    if not vals or any(s < 1 for s in vals):
-        raise UsageError(f"bad --s list {spec!r}")
+    if not vals or any(s < 1 for s in vals) or len(set(vals)) != len(vals):
+        raise UsageError(f"bad --s list {spec!r}; expected distinct orders >= 1")
     return vals
 
 
@@ -237,38 +241,24 @@ def _stat_records(
     args: argparse.Namespace, graphs: list[Graph], weights: str | WeightedGraph
 ) -> Iterator[dict]:
     for g in graphs:
-        g6 = write_graph6(g)
-        base = {"graph6": g6, "stat": args.stat}
-        if args.stat in _EDGE_STATS:
-            prof = _EDGE_STATS[args.stat](g)
-            for e in g.edges:
-                yield base | {"item": _edge_label(e), "value": str(prof.values[e])}
-        elif args.stat == "p_v":
-            prof = vpath_profile(g, args.root)
-            for e in g.edges:
-                yield base | {
-                    "item": _edge_label(e),
-                    "root": args.root,
-                    "value": str(prof.values[e]),
-                }
+        base = {"graph6": write_graph6(g), "stat": args.stat}
+        if args.stat in ("p_S", "s_K"):
+            prof_fn = clique_path_profile if args.stat == "p_S" else clique_star_profile
+            for clique, val in sorted(prof_fn(g, args.s).values.items()):
+                item = "-".join(str(v) for v in clique)
+                yield base | {"item": item, "s": args.s, "value": str(val)}
+            continue
+        extra = {}
+        if args.stat == "p_v":
+            prof, extra = vpath_profile(g, args.root), {"root": args.root}
         elif args.stat == "w_p":
             wg, label = _weighting(g, weights, args.seed)
-            prof = weighted_path_profile(wg)
-            for e in g.edges:
-                yield base | {
-                    "item": _edge_label(e),
-                    "weights": label,
-                    "value": format_rational(prof.values[e]),
-                }
+            prof, extra = weighted_path_profile(wg), {"weights": label}
         else:
-            prof_fn = clique_path_profile if args.stat == "p_S" else clique_star_profile
-            cprof = prof_fn(g, args.s)
-            for clique, val in sorted(cprof.values.items()):
-                yield base | {
-                    "item": "-".join(str(v) for v in clique),
-                    "s": args.s,
-                    "value": str(val),
-                }
+            prof = _EDGE_STATS[args.stat](g)
+        for e in g.edges:
+            value = format_rational(prof.values[e])
+            yield base | {"item": _edge_label(e)} | extra | {"value": value}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

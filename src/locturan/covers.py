@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .graphs import Graph, WeightedGraph
 from .rationals import format_rational
-from .stats import weighted_path_profile
+from .stats import weighted_path_ratios
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,7 @@ def bound_from_cover(wg: WeightedGraph, cover: PathDoubleCover) -> CoverBound:
             f"invalid path double cover: bad paths {list(verdict.bad_paths)}, "
             f"mis-covered edges {list(verdict.bad_edges)}"
         )
-    wp = weighted_path_profile(wg).values
-    term = {
-        e: (Fraction(0) if wg.weights[e] == 0 else wg.weights[e] / wp[e])
-        for e in g.edges
-    }
+    term = weighted_path_ratios(wg)
     edge_sum = sum(term.values(), Fraction(0))
     path_sums = tuple(
         sum((term[e] for e in _path_edges(seq)), Fraction(0)) for seq in cover.paths

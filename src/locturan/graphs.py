@@ -374,7 +374,8 @@ def is_two_edge_connected(g: Graph) -> bool:
 
 
 class WeightedGraph:
-    """A Graph plus one nonnegative rational weight per edge."""
+    """A Graph plus one nonnegative rational weight per edge.  Hashable; the
+    weighted statistics cache on it, so `weights` must not change."""
 
     __slots__ = ("graph", "weights")
 
@@ -411,6 +412,9 @@ class WeightedGraph:
             and self.graph == other.graph
             and self.weights == other.weights
         )
+
+    def __hash__(self) -> int:
+        return hash(self.graph)
 
     def __repr__(self) -> str:
         return f"WeightedGraph({self.graph!r}, {self.weights!r})"

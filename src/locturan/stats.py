@@ -16,9 +16,10 @@ per-root or per-clique tables are built.
 Weighted statistics scale the weights to integers by the lcm d of their
 denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
 1962): t[mask][v] is the heaviest path from a root to v whose vertex set is
-exactly mask.  Rooted at every vertex it gives the heaviest path, and with
-the heaviest continuation from each (mask, end) state, the heaviest path
-through every edge.  Rooted at a cycle's least vertex r, on the vertices
+exactly mask.  Rooted at every vertex, with the heaviest continuation from
+each (mask, end) state, it gives w(p(e)) for every edge: one profile, cached
+per weighting as the PathEngine is per graph, that also yields the heaviest
+path and w(e)/w(p(e)).  Rooted at a cycle's least vertex r, on the vertices
 >= r, it gives the heaviest cycle.  Each result is divided by d once.
 
 Everything returns ints or Fractions; no floats anywhere.
@@ -516,13 +517,20 @@ def _heaviest(
 
 
 def max_weight_path(wg: WeightedGraph) -> Fraction:
-    """Largest total weight of a simple path (0 for empty or edgeless graphs)."""
-    d, nbrs = _scaled(wg)
-    if not nbrs:
-        return Fraction(0)
-    return Fraction(max(map(max, _heaviest(nbrs, range(len(nbrs))))), d)
+    """Largest total weight of a simple path (0 for empty or edgeless graphs).
+    Weights are nonnegative, so some heaviest path runs through an edge."""
+    return max(weighted_path_profile(wg).values.values(), default=Fraction(0))
 
 
+def weighted_path_ratios(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
+    """w(e)/w(p(e)) for every edge, and 0 on a zero-weight edge."""
+    wp = weighted_path_profile(wg).values
+    return {e: w / wp[e] if w else Fraction(0) for e, w in wg.weights.items()}
+
+
+# reports_for_graph runs weighted-mt on every weighting of a graph before fmr
+# reads the same profiles, so up to 64 trials per graph share one DP run each.
+@lru_cache(maxsize=64)
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
     g = wg.graph

@@ -82,7 +82,7 @@ from .stats import (
     path_profile,
     star_profile,
     vpath_profile,
-    weighted_path_profile,
+    weighted_path_ratios,
 )
 
 OK = "ok"
@@ -338,11 +338,7 @@ def verify_weighted_mt(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
     if g.n == 0:
         return _skipped("weighted-mt", "empty graph")
-    wp = weighted_path_profile(wg).values
-    lhs = Fraction(0)
-    for e, w in wg.weights.items():
-        if w:
-            lhs += w / wp[e]
+    lhs = sum(weighted_path_ratios(wg).values(), Fraction(0))
     return _bound("weighted-mt", lhs, Fraction(g.n, 2))
 
 
@@ -491,6 +487,8 @@ class CorpusConfig:
                 raise ValueError(f"unknown theorem id {thm!r}")
         if len(set(self.theorems)) != len(self.theorems):
             raise ValueError(f"repeated theorem id in {self.theorems}")
+        if len(set(self.s_values)) != len(self.s_values):
+            raise ValueError(f"repeated clique order in {self.s_values}")
 
 
 def weightings(

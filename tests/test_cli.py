@@ -221,6 +221,25 @@ def test_stats_missing_input_file():
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["stats", "--stat", "p"], ["verify", "--theorem", "mt"], ["spdc"],
+    ["closure", "--k", "2"], ["ge"],
+], ids=lambda cmd: cmd[0])
+def test_non_ascii_input_file_is_a_usage_error(tmp_path, command):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"B\xffw\n")
+    code, out, err = run_cli([*command, "--input", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {bad}: byte 0xff is not ASCII\n"
+
+
+def test_non_utf8_stdin_is_a_usage_error(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"B\xffw\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["ge"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read stdin: byte 0xff is not ASCII\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -426,6 +445,13 @@ def test_package_modules_start_no_processes_and_read_no_environment():
                 if name.split(".")[0] in pools or name in ("os.environ", "os.getenv")
             ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("spec", ["2,2", "3,2,3"])
+def test_verify_rejects_repeated_clique_order(spec):
+    code, out, err = run_cli(["verify", "--theorem", "delta", "--n", "3", "--s", spec])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad --s list {spec!r}; expected distinct orders >= 1\n"
 
 
 def test_verify_rejects_unknown_theorem():
@@ -691,6 +717,22 @@ def test_installed_console_script_enumerates():
     )
     assert out.returncode == 0
     assert out.stdout == "B?\nBG\nBW\nBw\n"
+
+
+def test_perfbench_trace_replays_a_verify_run(tmp_path):
+    """perfbench/trace_job.py finds each traced function by name; a renamed
+    or moved function would break the traced benchmark replay."""
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "trace_job.py"
+    layers, spans = tmp_path / "layers.json", tmp_path / "spans.jsonl"
+    out = subprocess.run(
+        [sys.executable, str(script), str(layers), str(spans), "cli", "verify",
+         "--theorem", "all", "--n", "1-4", "--weights", "random", "--seed", "1",
+         "--format", "json"],
+        capture_output=True, text=True, cwd=tmp_path, env=module_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    traced = json.loads(layers.read_text())["layers"]
+    assert {"stats.weighted_path_profile", "verify.fmr"} <= set(traced)
 
 
 def test_cli_import_loads_no_numpy(tmp_path):

@@ -70,6 +70,7 @@ from locturan.stats import (
     star_size_through_edge,
     vpath_profile,
     weighted_path_profile,
+    weighted_path_ratios,
     _engine,
 )
 
@@ -439,6 +440,26 @@ def test_weighted_unit_reduction():
         assert max_weight_cycle(wg) == (circumference if circumference > 2 else None)
         for e in g.edges:
             assert wp[e] == pp[e]
+
+
+def test_weighted_path_ratios_give_zero_on_zero_weight_edges():
+    tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    wg = WeightedGraph(tri, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
+    assert weighted_path_ratios(wg) == {
+        (0, 1): Fraction(1, 3), (0, 2): Fraction(2, 3), (1, 2): 0,
+    }
+    # an all-zero weighting has w(p(e)) = 0 on every edge
+    zero = WeightedGraph(tri, {e: 0 for e in tri.edges})
+    assert weighted_path_ratios(zero) == {e: 0 for e in tri.edges}
+
+
+def test_equal_weighted_graphs_hash_equal_and_share_one_profile():
+    g = complete_graph(4)
+    a = seeded_weights(g, 11)
+    b = WeightedGraph(Graph(4, g.edges), dict(a.weights))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, WeightedGraph.unit(g)}) == 2
+    assert weighted_path_profile(a) is weighted_path_profile(b)
 
 
 def test_weighted_stats_reject_over_cap_graph():

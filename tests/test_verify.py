@@ -716,6 +716,34 @@ def test_corpus_rejects_repeated_theorem():
         verify_corpus(("mt", "mt"), ns=(3,))
 
 
+def test_corpus_config_rejects_repeated_clique_order():
+    with pytest.raises(ValueError, match="repeated clique order"):
+        CorpusConfig(theorems=("delta",), s_values=(2, 2))
+    with pytest.raises(ValueError):
+        verify_corpus(("delta",), ns=(3,), s_values=(3, 2, 3))
+
+
+def test_weighted_verifiers_share_one_heaviest_path_run_per_weighting(monkeypatch):
+    """weighted-mt and fmr read one cached profile per weighting, so the
+    all-roots forward DP runs once per weighting, not once per theorem."""
+    import locturan.stats as stats
+
+    runs = []
+    real = stats._heaviest
+
+    def counted(nbrs, roots):
+        if isinstance(roots, range):
+            runs.append(len(nbrs))
+        return real(nbrs, roots)
+
+    monkeypatch.setattr(stats, "_heaviest", counted)
+    stats.weighted_path_profile.cache_clear()
+    cfg = CorpusConfig(("weighted-mt", "fmr"), weights="random", seed=5, trials=2)
+    reports = reports_for_graph(complete_graph(5), cfg)
+    assert [r.theorem for r in reports] == ["weighted-mt"] * 2 + ["fmr"] * 2
+    assert runs == [5, 5]
+
+
 def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
     """One graph6 for the reports (and one inside the crc32 seed of the
     weightings), and one seeded weighting per trial shared by every
