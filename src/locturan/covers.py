@@ -25,7 +25,7 @@ path-sum bound: with t the number of paths carrying at least one edge,
 
 because each per-path inner sum is at most 1 (every edge of P_i lies on the
 path P_i, so w(p(e)) >= w(P_i)).  The doubling identity and the per-path
-caps are recomputed and checked, not assumed.
+caps are recomputed and checked on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .graphs import Graph, WeightedGraph
 from .rationals import format_rational
-from .stats import weighted_path_ratios
+from .stats import weighted_ratio_terms
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,8 @@ def validate_pdc(g: Graph, cover: PathDoubleCover) -> CoverVerdict:
     counts = {e: 0 for e in g.edges}
     bad_paths = []
     for i, seq in enumerate(cover.paths):
-        if not seq or len(set(seq)) != len(seq):
-            bad_paths.append(i)
-            continue
-        if not all(0 <= v < g.n for v in seq):
-            bad_paths.append(i)
-            continue
-        if not all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+        if (not seq or len(set(seq)) != len(seq) or not all(0 <= v < g.n for v in seq)
+                or not all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))):
             bad_paths.append(i)
             continue
         for e in _path_edges(seq):
@@ -127,25 +122,16 @@ def find_spdc(g: Graph) -> PathDoubleCover:
         extend([start], 1 << start)
         return out
 
-    def apply(seq: tuple[int, ...]) -> None:
+    def shift(seq: tuple[int, ...], step: int) -> None:
+        """Take the path's edges (step -1) or give them back (step +1)."""
         for a, b in zip(seq, seq[1:]):
             e = (a, b) if a < b else (b, a)
-            demand[e] -= 1
-            load[a] -= 1
-            load[b] -= 1
-            if demand[e] == 0:
-                alive[a] &= ~(1 << b)
-                alive[b] &= ~(1 << a)
-
-    def undo(seq: tuple[int, ...]) -> None:
-        for a, b in zip(seq, seq[1:]):
-            e = (a, b) if a < b else (b, a)
-            if demand[e] == 0:
-                alive[a] |= 1 << b
-                alive[b] |= 1 << a
-            demand[e] += 1
-            load[a] += 1
-            load[b] += 1
+            demand[e] += step
+            load[a] += step
+            load[b] += step
+            if demand[e] == max(step, 0):  # e just ran out of demand or got it back
+                alive[a] ^= 1 << b
+                alive[b] ^= 1 << a
 
     def search() -> bool:
         target = next((e for e in g.edges if demand[e] > 0), None)
@@ -158,22 +144,17 @@ def find_spdc(g: Graph) -> PathDoubleCover:
         if state in failed:
             return False
         a, b = target
-        lefts = half_paths(a, 1 << b)
         rights = half_paths(b, 1 << a)
-        cands = []
-        for ls, lm in lefts:
-            for rs, rm in rights:
-                if lm & rm:
-                    continue
-                cands.append(ls[::-1] + rs)
+        cands = [ls[::-1] + rs for ls, lm in half_paths(a, 1 << b)
+                 for rs, rm in rights if not lm & rm]
         cands.sort(key=lambda p: (-len(p), min(p, p[::-1])))
         for path in cands:
-            apply(path)
+            shift(path, -1)
             chosen.append(path)
             if search():
                 return True
             chosen.pop()
-            undo(path)
+            shift(path, 1)
         failed.add(state)
         return False
 
@@ -191,19 +172,17 @@ def bound_from_cover(wg: WeightedGraph, cover: PathDoubleCover) -> CoverBound:
             f"invalid path double cover: bad paths {list(verdict.bad_paths)}, "
             f"mis-covered edges {list(verdict.bad_edges)}"
         )
-    term = weighted_path_ratios(wg)
-    edge_sum = sum(term.values(), Fraction(0))
-    path_sums = tuple(
-        sum((term[e] for e in _path_edges(seq)), Fraction(0)) for seq in cover.paths
-    )
-    if sum(path_sums, Fraction(0)) != 2 * edge_sum:
+    den, x = weighted_ratio_terms(wg)
+    edge_x = sum(x.values())
+    path_x = [sum(x[e] for e in _path_edges(seq)) for seq in cover.paths]
+    if sum(path_x) != 2 * edge_x:
         raise RuntimeError("doubling identity failed; cover or profile is corrupt")
-    if any(ps > 1 for ps in path_sums):
+    if any(px > den for px in path_x):
         raise RuntimeError("per-path sum exceeds 1; weight profile is corrupt")
     t = sum(1 for seq in cover.paths if len(seq) > 1)
     return CoverBound(
-        edge_sum=edge_sum,
-        path_sums=path_sums,
+        edge_sum=Fraction(edge_x, den),
+        path_sums=tuple(Fraction(px, den) for px in path_x),
         path_count=t,
         certified_bound=Fraction(t, 2),
         vertex_bound=Fraction(g.n, 2),

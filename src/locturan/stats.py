@@ -15,11 +15,12 @@ per-root or per-clique tables are built.
 
 Weighted statistics scale the weights to integers by the lcm d of their
 denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
-1962): t[mask][v] is the heaviest path from a root to v whose vertex set is
-exactly mask.  Rooted at every vertex, with the heaviest continuation from
-each (mask, end) state, it gives w(p(e)) for every edge: one profile, cached
-per weighting as the PathEngine is per graph, that also yields the heaviest
-path and w(e)/w(p(e)).  Rooted at a cycle's least vertex r, on the vertices
+1962) over reached states only: t[mask] is None, or maps each end v of a path
+from a root on exactly the vertices of mask to the heaviest such path.  Rooted
+at every vertex, with the heaviest continuation from each state, it gives
+w(p(e)) for every edge: one profile, cached per weighting as the PathEngine is
+per graph, that yields the heaviest path and each w(e)/w(p(e)) as an integer
+over one denominator.  Rooted at a cycle's least vertex r, on the vertices
 >= r, it gives the heaviest cycle.  Each result is divided by d once.
 
 Everything returns ints or Fractions; no floats anywhere.
@@ -500,19 +501,24 @@ def _scaled(wg: WeightedGraph) -> tuple[int, list[list[tuple[int, int]]]]:
 
 def _heaviest(
     nbrs: list[list[tuple[int, int]]], roots: range | tuple[int, ...]
-) -> list[list[int]]:
-    """t[mask][v]: the heaviest path from a root to v whose vertex set is
-    exactly mask, or -1 if there is none.  Weights must be nonnegative."""
-    n = len(nbrs)
-    t = [[-1] * n for _ in range(1 << n)]
+) -> list[dict[int, int] | None]:
+    """t[mask]: {v: the heaviest path from a root to v whose vertex set is
+    exactly mask} over the ends v reached, or None if no path has vertex set
+    mask.  Only reached states are built.  Weights must be nonnegative."""
+    t: list[dict[int, int] | None] = [None] * (1 << len(nbrs))
     for r in roots:
-        t[1 << r][r] = 0
+        t[1 << r] = {r: 0}
     for mask, row in enumerate(t):
-        for v, val in enumerate(row):
-            if val >= 0:
+        if row is not None:
+            for v, val in row.items():
                 for u, w in nbrs[v]:
-                    if not mask >> u & 1 and val + w > t[mask | 1 << u][u]:
-                        t[mask | 1 << u][u] = val + w
+                    grown = mask | 1 << u
+                    if grown != mask:
+                        nxt = t[grown]
+                        if nxt is None:
+                            t[grown] = {u: val + w}
+                        elif val + w > nxt.get(u, -1):
+                            nxt[u] = val + w
     return t
 
 
@@ -522,10 +528,22 @@ def max_weight_path(wg: WeightedGraph) -> Fraction:
     return max(weighted_path_profile(wg).values.values(), default=Fraction(0))
 
 
+def weighted_ratio_terms(wg: WeightedGraph) -> tuple[int, dict[tuple[int, int], int]]:
+    """D and integers x_e with w(e)/w(p(e)) = x_e/D, and x_e = 0 on a
+    zero-weight edge, so any sum of these ratios is one integer over D."""
+    wp = weighted_path_profile(wg).values
+    d = lcm(*(w.denominator for w in wg.weights.values()))
+    # w(e)/w(p(e)) = a/b with the integers a = d w(e) and b = d w(p(e))
+    ab = {e: (w.numerator * d // w.denominator, wp[e].numerator * d // wp[e].denominator)
+          for e, w in wg.weights.items()}
+    den = lcm(*(b for a, b in ab.values() if a))
+    return den, {e: a * (den // b) if a else 0 for e, (a, b) in ab.items()}
+
+
 def weighted_path_ratios(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
     """w(e)/w(p(e)) for every edge, and 0 on a zero-weight edge."""
-    wp = weighted_path_profile(wg).values
-    return {e: w / wp[e] if w else Fraction(0) for e, w in wg.weights.items()}
+    den, terms = weighted_ratio_terms(wg)
+    return {e: Fraction(x, den) for e, x in terms.items()}
 
 
 # reports_for_graph runs weighted-mt on every weighting of a graph before fmr
@@ -537,28 +555,29 @@ def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     d, nbrs = _scaled(wg)
     f = _heaviest(nbrs, range(g.n))
     # The heaviest path through ab is a path ending at a with vertex set L,
-    # the edge ab, and a path from b that avoids L.  c[mask][a] is the
-    # heaviest path from a through vertices outside mask; filling it from
-    # the full mask down visits each (L, a) state and edge ab once.
-    c = [[0] * g.n for _ in range(1 << g.n)]
+    # the edge ab, and a path from b that avoids L.  From the full mask down,
+    # each live f[mask][a] is read, then overwritten by the heaviest path from
+    # a through vertices outside mask, which is what smaller masks read.
     best = [[0] * g.n for _ in range(g.n)]
     for mask in range((1 << g.n) - 1, 0, -1):
-        crow = c[mask]
-        for a, val in enumerate(f[mask]):
-            if mask >> a & 1:
+        row = f[mask]
+        if row is not None:
+            for a, val in row.items():
+                cont = 0
                 for b, w in nbrs[a]:
-                    if not mask >> b & 1:
-                        x = w + c[mask | 1 << b][b]
-                        if x > crow[a]:
-                            crow[a] = x
-                        if val >= 0 and val + x > best[a][b]:
+                    grown = mask | 1 << b
+                    if grown != mask:
+                        x = w + f[grown][b]
+                        if x > cont:
+                            cont = x
+                        if val + x > best[a][b]:
                             best[a][b] = val + x
+                row[a] = cont
     return EdgeStatProfile("w_p", {(a, b): Fraction(best[a][b], d) for a, b in g.edges})
 
 
 def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fraction:
-    e = wg.graph.check_edge(e)
-    return weighted_path_profile(wg).values[e]
+    return weighted_path_profile(wg).values[wg.graph.check_edge(e)]
 
 
 def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
@@ -572,8 +591,8 @@ def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
     for r in range(len(nbrs)):
         sub = [[(u - r, w) for u, w in nbrs[v] if u >= r] for v in range(r, len(nbrs))]
         for mask, row in enumerate(_heaviest(sub, (0,))):
-            if mask.bit_count() >= 3:
+            if row is not None and mask.bit_count() >= 3:
                 for u, w in sub[0]:
-                    if row[u] >= 0 and row[u] + w > best:
+                    if u in row and row[u] + w > best:
                         best = row[u] + w
     return None if best < 0 else Fraction(best, d)

@@ -82,7 +82,7 @@ from .stats import (
     path_profile,
     star_profile,
     vpath_profile,
-    weighted_path_ratios,
+    weighted_ratio_terms,
 )
 
 OK = "ok"
@@ -338,7 +338,8 @@ def verify_weighted_mt(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
     if g.n == 0:
         return _skipped("weighted-mt", "empty graph")
-    lhs = sum(weighted_path_ratios(wg).values(), Fraction(0))
+    den, terms = weighted_ratio_terms(wg)
+    lhs = Fraction(sum(terms.values()), den)
     return _bound("weighted-mt", lhs, Fraction(g.n, 2))
 
 

@@ -597,6 +597,34 @@ def test_spdc_internal_error_names_graph(monkeypatch):
     assert err == "internal error: Bw: internal search exhaustion\n"
 
 
+def test_spdc_validates_each_cover_once_and_names_an_invalid_one(monkeypatch):
+    """bound_from_cover is the one validation of a constructed cover; an
+    invalid cover is an internal error (exit 3) naming the graph."""
+    import locturan.covers as covers
+
+    validated = []
+    real = covers.validate_pdc
+
+    def counted(g, cover):
+        validated.append(write_graph6(g))
+        return real(g, cover)
+
+    monkeypatch.setattr(covers, "validate_pdc", counted)
+    code, _, _ = run_cli(["spdc", "--format", "csv"], stdin="Bw\nCr\n")
+    assert code == 0 and validated == ["Bw", "Cr"]
+    validated.clear()
+    # covers 01 and 02 twice, and misses the triangle's edge 12
+    missing = covers.PathDoubleCover(((0, 1), (1, 0), (0, 2), (2, 0)))
+    monkeypatch.setattr("locturan.cli.find_spdc", lambda g: missing)
+    code, out, err = run_cli(["spdc"], stdin="Bw\n")
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: Bw: invalid path double cover: "
+        "bad paths [], mis-covered edges [(1, 2)]\n"
+    )
+    assert validated == ["Bw"]
+
+
 def test_spdc_weights_file_must_match_graph(tmp_path):
     wfile = tmp_path / "tri.wg"
     wfile.write_text(TRI_WEIGHTS)

@@ -3,12 +3,14 @@
 import hashlib
 import random
 import signal
+import zlib
 from fractions import Fraction
 
 import pytest
 
-from conftest import frozen_corpus, random_weights
+from conftest import frozen_corpus, path_edges, random_weights
 from locturan.covers import (
+    CoverVerdict,
     PathDoubleCover,
     bound_from_cover,
     cover_report,
@@ -24,10 +26,11 @@ from locturan.graphs import (
     cycle_graph,
     parse_graph6,
     path_graph,
+    seeded_weights,
     star_graph,
     write_graph6,
 )
-from locturan.stats import weighted_path_profile
+from locturan.stats import weighted_path_profile, weighted_path_ratios
 
 
 def test_validate_accepts_hand_cover():
@@ -167,6 +170,50 @@ def test_bound_chain_random_weights():
         )
         assert direct == bound.edge_sum
         assert bound.edge_sum <= bound.certified_bound <= bound.vertex_bound
+
+
+def test_integer_cover_chain_matches_fraction_definitions():
+    """bound_from_cover sums integer numerators over one denominator; on
+    every class with n <= 6 its sums equal the Fraction sums of
+    w(e)/w(p(e)) taken edge by edge and path by path."""
+    for g in frozen_corpus(6):
+        cover = find_spdc(g)
+        for wg in (WeightedGraph.unit(g), seeded_weights(g, zlib.crc32(write_graph6(g).encode()))):
+            wp = weighted_path_profile(wg).values
+            term = {e: w / wp[e] if w else Fraction(0) for e, w in wg.weights.items()}
+            assert weighted_path_ratios(wg) == term
+            bound = bound_from_cover(wg, cover)
+            assert bound.edge_sum == sum(weighted_path_ratios(wg).values(), Fraction(0))
+            assert bound.path_sums == tuple(
+                sum((term[e] for e in path_edges(seq)), Fraction(0)) for seq in cover.paths
+            )
+
+
+def test_corrupt_ratio_trips_the_per_path_cap(monkeypatch):
+    import locturan.covers as covers
+
+    g = complete_graph(4)
+    cover = find_spdc(g)
+    real = covers.weighted_ratio_terms
+
+    def inflated(wg):
+        den, x = real(wg)
+        return den, x | {(0, 1): x[(0, 1)] + den}
+
+    monkeypatch.setattr(covers, "weighted_ratio_terms", inflated)
+    with pytest.raises(RuntimeError, match="per-path sum exceeds 1"):
+        bound_from_cover(WeightedGraph.unit(g), cover)
+
+
+def test_single_cover_trips_the_doubling_identity(monkeypatch):
+    """A cover that gets past a stubbed validation but covers two of the
+    triangle's edges once breaks the integer doubling identity."""
+    import locturan.covers as covers
+
+    g = complete_graph(3)
+    monkeypatch.setattr(covers, "validate_pdc", lambda g, cover: CoverVerdict(True, {}, (), ()))
+    with pytest.raises(RuntimeError, match="doubling identity failed"):
+        bound_from_cover(WeightedGraph.unit(g), PathDoubleCover(((0, 1, 2), (0, 2))))
 
 
 def test_bound_rejects_invalid_cover():

@@ -1,6 +1,7 @@
 """Subset-DP statistics against naive enumeration oracles plus pinned values."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from locturan.graphs import (
     path_graph,
     seeded_weights,
     star_graph,
+    write_graph6,
 )
 from locturan.stats import (
     PathEngine,
@@ -320,6 +322,20 @@ def test_weighted_stats_match_naive_n5():
         assert max_weight_cycle(wg) == naive_max_weight_cycle(wg)
         for e in g.edges:
             assert max_weight_path_through_edge(wg, e) == naive_wp_edge(wg, e)
+
+
+def test_weighted_stats_match_naive_n6():
+    """Every class with n <= 6 under one seeded weighting, against the
+    oracles; the corpus includes zero-weight edges, which the live-state
+    tables must carry like any other."""
+    zero_edges = 0
+    for g in frozen_corpus(6):
+        wg = seeded_weights(g, zlib.crc32(write_graph6(g).encode()))
+        zero_edges += sum(1 for w in wg.weights.values() if w == 0)
+        assert weighted_path_profile(wg).values == {e: naive_wp_edge(wg, e) for e in g.edges}
+        assert max_weight_path(wg) == naive_max_weight_path(wg)
+        assert max_weight_cycle(wg) == naive_max_weight_cycle(wg)
+    assert zero_edges == 131
 
 
 # ---------------------------------------------------------------------------
