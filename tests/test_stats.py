@@ -1,5 +1,6 @@
 """Subset-DP statistics against naive enumeration oracles plus pinned values."""
 
+import hashlib
 import random
 import zlib
 from fractions import Fraction
@@ -362,6 +363,29 @@ def test_random_n7_longest_path_vs_naive():
         g = random_graph(rng, 7, 0.45)
         assert longest_path(g) == naive_longest_path(g)
         assert matching_number(g) == naive_mu(g)
+
+
+def path_stats_digest(graphs) -> str:
+    """SHA-256 over the reprs of every unweighted path statistic: longest
+    path, ell(v) and p_v(e) at every root (of the connected graphs), p(e),
+    c(e) and p(S) for s = 2, 3, 4."""
+    h = hashlib.sha256()
+    for g in graphs:
+        rows = [longest_path(g), [longest_vpath(g, v) for v in range(g.n)],
+                path_profile(g), cycle_profile(g)]
+        if is_connected(g):
+            rows += [vpath_profile(g, v) for v in range(g.n)]
+        rows += [clique_path_profile(g, s) for s in (2, 3, 4)]
+        h.update(f"{write_graph6(g)} {rows!r}\n".encode("ascii"))
+    return h.hexdigest()
+
+
+def test_path_stats_digest_n7():
+    """Every class with n <= 7, pinned per edge, per root and per clique;
+    the golden `verify` digests pin only the sums of these values."""
+    assert path_stats_digest(frozen_corpus(7)) == (
+        "e3948e399d7de8fd2e482dc988e3844b7d8a1049b3e5b4543051514171b428d3"
+    )
 
 
 # ---------------------------------------------------------------------------
