@@ -5,13 +5,16 @@ integers: for a fixed source s, F[u] is an integer whose bit at position
 `mask` is set iff some simple path from s covering exactly the vertices of
 `mask` ends at u.  One transition round ORs neighbor tables, keeps only
 masks missing u, and shifts by 2^u to add u; a fixpoint is reached in at
-most n rounds.  Per-size mask filters, per-vertex "mask avoids v" filters,
-and a subset-closure table then answer every through-edge question with a
-handful of big-integer AND/OR operations, which is what makes exhaustive
-n <= 7 corpora cheap.  Rooted and clique queries filter and shift these
-shared per-source tables: p_v(e) joins the paths from v that end at one
-end of e, and p(S) shifts the masks that avoid the rest of S onto it.  No
-per-root or per-clique tables are built.
+most n rounds.  Every path query is then one join.  For each vertex y, the
+level set S_y[j] has bit M set iff some path from y avoids M and has
+j - |M| vertices, so the largest |M1| + |M2| over masks M1 of a given set and
+paths M2 from y disjoint from them is the largest j where the set meets
+S_y[j].  p(ab) joins the paths from a with b, p_v(ab) the paths from v that
+end at one end of ab with the other end, and ell(v) the empty mask with v;
+p(S) first shifts the masks that avoid the rest of S onto it.  c(ab) is the
+largest path mask from a to b with at least 3 vertices, or 2.  The level
+sets are built once per vertex; no per-edge, per-root or per-clique tables
+are built.
 
 Weighted statistics scale the weights to integers by the lcm d of their
 denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
@@ -78,11 +81,6 @@ class CliqueStatProfile:
 
 
 @lru_cache(maxsize=None)
-def _popcounts(n: int) -> tuple[int, ...]:
-    return tuple(m.bit_count() for m in range(1 << n))
-
-
-@lru_cache(maxsize=None)
 def _size_masks(n: int) -> tuple[int, ...]:
     """out[k]: bit at position mask set iff |mask| == k."""
     out = [0] * (n + 1)
@@ -129,17 +127,9 @@ class PathEngine:
         self.full = (1 << g.n) - 1
         self._sizes = _size_masks(g.n)
         self._wo = _without_vertex(g.n)
-        self._pop = _popcounts(g.n)
         self._from = [self._table_from(s) for s in range(g.n)]
         self._union = [reduce(or_, t, 0) for t in self._from]
-        self._lmax = [self._max_size(u) for u in self._union]
-        self._tdis: dict[int, list[int]] = {}
-
-    def _max_size(self, maskset: int) -> int:
-        for k in range(self.n, 0, -1):
-            if maskset & self._sizes[k]:
-                return k
-        return 0
+        self._levels: dict[int, list[int]] = {}
 
     def _table_from(self, s: int) -> list[int]:
         adj = self.g.adj
@@ -161,65 +151,57 @@ class PathEngine:
                     changed = True
         return table
 
-    def _tdisjoint(self, y: int) -> list[int]:
-        """T[l]: bit M set iff some path-mask from y of size l is disjoint from M."""
-        if y not in self._tdis:
+    def _level_sets(self, y: int) -> list[int]:
+        """S[j]: bit M set iff some path mask M2 from y is disjoint from M
+        and |M| + |M2| = j.  Bit 0 of S[j] (M empty) says a path from y has
+        j vertices."""
+        if y not in self._levels:
             sub = _subset_closure(self.n)
-            t = [0] * (self.n + 1)
-            x = self._union[y]
-            while x:
-                low = x & -x
-                x ^= low
-                m = low.bit_length() - 1
-                t[self._pop[m]] |= sub[self.full ^ m]
-            self._tdis[y] = t
-        return self._tdis[y]
+            levels = [0] * (self.n + 1)
+            for size in range(1, self.n + 1):
+                x = self._union[y] & self._sizes[size]
+                avoid = 0  # bit M set iff M avoids some path mask of this size
+                while x:
+                    low = x & -x
+                    x ^= low
+                    avoid |= sub[self.full ^ (low.bit_length() - 1)]
+                for k in range(self.n + 1 - size):
+                    levels[k + size] |= self._sizes[k] & avoid
+            self._levels[y] = levels
+        return self._levels[y]
 
-    def _join_best(self, a_masks: int, y: int) -> int:
-        """max |M1| + |M2| over M1 in a_masks, M2 a path-mask from y, disjoint."""
-        tdis = self._tdisjoint(y)
-        lmax = self._lmax[y]
-        best = 0
-        for k in range(self.n, 0, -1):
-            if k + lmax <= best:
-                break
-            ak = a_masks & self._sizes[k]
-            if not ak:
-                continue
-            for l in range(lmax, 0, -1):
-                if k + l <= best:
-                    break
-                if ak & tdis[l]:
-                    best = k + l
-                    break
-        return best
+    def _top(self, masks: int, levels: list[int] | tuple[int, ...]) -> int:
+        """The largest j with masks & levels[j] nonzero, or 0 if none."""
+        for j in range(self.n, 0, -1):
+            if masks & levels[j]:
+                return j
+        return 0
+
+    def _join(self, masks: int, y: int) -> int:
+        """max |M1| + |M2| over M1 in masks, M2 a path mask from y, disjoint."""
+        return self._top(masks, self._level_sets(y))
 
     # -- queries ------------------------------------------------------------
 
     def longest_path(self) -> int:
-        if self.n == 0:
-            return 0
-        return self._max_size(reduce(or_, self._union, 0)) - 1
+        return max((self.vpath(v) for v in range(self.n)), default=0)
 
     def vpath(self, v: int) -> int:
-        return self._lmax[v] - 1
+        return self._join(1, v) - 1
 
     def edge_path(self, a: int, b: int, banned: int = 0) -> int:
         """p(ab) in G - banned.  Shifting the masks from a that avoid banned
         by `banned` adds banned to each, so the join keeps b's half off it."""
         masks = self._union[a] & _subset_closure(self.n)[self.full ^ banned]
-        return self._join_best(masks << banned, b) - banned.bit_count() - 1
+        return self._join(masks << banned, b) - banned.bit_count() - 1
 
     def edge_cycle(self, a: int, b: int) -> int:
-        masks = self._from[a][b]
-        for k in range(self.n, 2, -1):
-            if masks & self._sizes[k]:
-                return k
-        return 2
+        """The largest path mask of at least 3 vertices from a to b, or 2."""
+        return self._top(self._from[a][b] & ~self._sizes[2], self._sizes) or 2
 
     def vpath_edge(self, v: int, a: int, b: int) -> int:
         best = max(
-            self._join_best(self._from[v][x], y) for x, y in ((a, b), (b, a)) if y != v
+            self._join(self._from[v][x], y) for x, y in ((a, b), (b, a)) if y != v
         )
         if best == 0:
             raise ValueError(
