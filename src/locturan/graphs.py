@@ -258,20 +258,18 @@ def canonical_form(g: Graph) -> bytes:
     return write_graph6(_graph_from_key(g.n, _min_key(g.adj))).encode("ascii")
 
 
-_KEYS: dict[int, tuple[int, ...]] = {1: (0,)}  # canonical keys by order
-
-
-def _representatives(n: int) -> tuple[int, ...]:
-    """Canonical keys of the n-vertex classes, ascending.  Each order is
-    built once, from the keys of the order below, and kept."""
-    for m in range(2, n + 1):
-        if m not in _KEYS:
-            candidates = (parent << (m - 1) | col for parent in _KEYS[m - 1]
-                          for col in range(1 << (m - 1)))
-            _KEYS[m] = tuple(
-                k for k in candidates if _min_key(_graph_from_key(m, k).adj, k) == k
-            )
-    return _KEYS[n]
+def _representatives(n: int) -> Iterator[int]:
+    """Canonical keys of the n-vertex classes, ascending.  A child's key is
+    parent << (n-1) | col with col < 2^(n-1), so the children of ascending
+    parents come out ascending; only the n open generators are kept."""
+    if n == 1:
+        yield 0
+        return
+    for parent in _representatives(n - 1):
+        for col in range(1 << (n - 1)):
+            k = parent << (n - 1) | col
+            if _min_key(_graph_from_key(n, k).adj, k) == k:
+                yield k
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from locturan.graphs import Graph, WeightedGraph
@@ -348,13 +349,17 @@ def random_weights(rng: random.Random, g: Graph) -> WeightedGraph:
     )
 
 
-def frozen_corpus(max_n: int, connected_only: bool = False) -> list[Graph]:
+@lru_cache(maxsize=None)
+def frozen_corpus(max_n: int, connected_only: bool = False) -> tuple[Graph, ...]:
+    """Every class with n <= max_n, enumerated once per test session:
+    enumeration streams and keeps nothing, so the many tests that read
+    these corpora share one run instead of each enumerating again."""
     from locturan.graphs import enumerate_graphs
 
-    out: list[Graph] = []
-    for n in range(1, max_n + 1):
-        out.extend(enumerate_graphs(n, connected_only=connected_only))
-    return out
+    return tuple(
+        g for n in range(1, max_n + 1)
+        for g in enumerate_graphs(n, connected_only=connected_only)
+    )
 
 
 # ---------------------------------------------------------------------------

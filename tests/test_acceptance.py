@@ -5,8 +5,12 @@ corpora are complete isomorph-free enumerations, so a pass is a proof for
 the covered orders, not a sample.
 """
 
+import hashlib
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from conftest import (
     frozen_corpus,
@@ -17,6 +21,7 @@ from conftest import (
     random_weights,
     relabel,
 )
+from locturan.cli import main
 from locturan.covers import bound_from_cover, find_spdc, validate_pdc
 from locturan.graphs import (
     Graph,
@@ -78,6 +83,33 @@ def test_criterion_1_exhaustive_nonviolation_through_n7():
         assert summary.violated == 0, thm
         assert summary.checked > 0, thm
         assert summary.min_slack is None or summary.min_slack >= 0, thm
+
+
+class _Sha256Sink:
+    """A text stream that keeps only the SHA-256 of what is written."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("ascii"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.n8
+def test_exhaustive_proof_through_n8(monkeypatch):
+    """Every registered theorem on every class with n <= 8 (about 100 MB of
+    JSON reports, pinned by digest): the n <= 7 gate of criterion 1 and the
+    golden digests, one order further."""
+    sink = _Sha256Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["verify", "--theorem", "all", "--n", "1-8", "--format", "json"]) == 0
+    assert sink.hash.hexdigest() == (
+        "2b322d39f0c87695a377e1c86857fddd004b9ede1f667ab4e86a7441dfad1d92"
+    )
 
 
 def test_criterion_2_equality_families_are_biconditional_through_n6():
@@ -176,20 +208,19 @@ def test_criterion_6_matching_structure_against_brute_force():
     pieces, full partition), the matching number survives the degree-sum
     closure, and the stability and clique-count edge bounds hold whenever
     the matching number is 2 or 3."""
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            dec = gallai_edmonds(g)
-            assert list(dec.d) == naive_d_set(g), write_graph6(g)
-            for comp in dec.d_components:
-                assert naive_factor_critical(naive_induced(g, list(comp)))
-            assert sorted(dec.d + dec.a + dec.c) == list(range(g.n))
-            assert closure_preserves_matching_number(g), write_graph6(g)
-            mu = matching_number(g)
-            assert g.n - 2 * mu == len(dec.d_components) - len(dec.a)
-            if mu in (2, 3):
-                assert stability_check(g), write_graph6(g)
-                report = nw_bound_check(g)
-                assert not report.applicable or report.ok, write_graph6(g)
+    for g in frozen_corpus(7):
+        dec = gallai_edmonds(g)
+        assert list(dec.d) == naive_d_set(g), write_graph6(g)
+        for comp in dec.d_components:
+            assert naive_factor_critical(naive_induced(g, list(comp)))
+        assert sorted(dec.d + dec.a + dec.c) == list(range(g.n))
+        assert closure_preserves_matching_number(g), write_graph6(g)
+        mu = matching_number(g)
+        assert g.n - 2 * mu == len(dec.d_components) - len(dec.a)
+        if mu in (2, 3):
+            assert stability_check(g), write_graph6(g)
+            report = nw_bound_check(g)
+            assert not report.applicable or report.ok, write_graph6(g)
 
 
 def test_criterion_7_reduction_identities_through_n6():
@@ -217,14 +248,13 @@ def test_criterion_8_codec_round_trip_and_canonical_invariance():
     """Encoding then decoding is the identity on the whole n <= 7 corpus
     (cross-checked against an independent decoder), and the canonical form
     is unchanged by 50 seeded random relabelings per graph with n <= 6."""
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            line = write_graph6(g)
-            back = parse_graph6(line)
-            assert back == g
-            assert write_graph6(back) == line
-            dec_n, dec_edges = independent_graph6_decode(line)
-            assert dec_n == g.n and sorted(dec_edges) == list(g.edges)
+    for g in frozen_corpus(7):
+        line = write_graph6(g)
+        back = parse_graph6(line)
+        assert back == g
+        assert write_graph6(back) == line
+        dec_n, dec_edges = independent_graph6_decode(line)
+        assert dec_n == g.n and sorted(dec_edges) == list(g.edges)
     rng = random.Random(48151623)
     for g in frozen_corpus(6):
         base = canonical_form(g)

@@ -45,6 +45,7 @@ from locturan.graphs import (
     write_graph6,
     write_weighted_graph,
 )
+from locturan import graphs
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,12 @@ def test_enumeration_counts_frozen():
     assert connected == [1, 1, 2, 6, 21, 112, 853]
 
 
+@pytest.mark.n8
+def test_enumeration_count_n8():
+    """A000088(8): 12,346 classes of graphs on 8 vertices."""
+    assert sum(1 for _ in enumerate_graphs(8)) == 12346
+
+
 def test_enumeration_count_n5_connected_vs_oracle():
     assert brute_iso_classes(5, connected_only=True) == 21
 
@@ -274,6 +281,20 @@ def test_enumeration_is_canonical_and_deterministic():
 def test_enumeration_keys_strictly_increase():
     keys = [labeled_key(g) for g in enumerate_graphs(7)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_first_class_streams_without_enumerating_lower_orders(monkeypatch):
+    calls = []
+    min_key = graphs._min_key
+
+    def counting_min_key(adj, bound=None):
+        calls.append(len(adj))
+        return min_key(adj, bound)
+
+    monkeypatch.setattr(graphs, "_min_key", counting_min_key)
+    assert write_graph6(next(enumerate_graphs(8))) == "G?????"
+    # one test per order 2..8 of the empty graph's one new (empty) column
+    assert calls == [2, 3, 4, 5, 6, 7, 8]
 
 
 def test_enumeration_range_checks():
