@@ -283,7 +283,7 @@ def test_enumeration_keys_strictly_increase():
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def test_first_class_streams_without_enumerating_lower_orders(monkeypatch):
+def test_first_class_of_order_8_streams_before_any_order_is_complete(monkeypatch):
     calls = []
     min_key = graphs._min_key
 
