@@ -1,5 +1,6 @@
 """Graph type, graph6 codec, canonical forms, enumeration, connectivity."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -235,6 +236,51 @@ def test_canonical_key_on_twin_heavy_and_vertex_transitive_graphs():
                  for _ in range(3)}
         assert len(forms) == 1
         assert find_isomorphism(g, parse_graph6(forms.pop())) is not None
+
+
+N8_CANONICAL_DIGEST = (
+    "c885038f539fff600dede594aa32bc259341940a26656df9110d87fcbe8d0c28")
+
+
+def test_canonical_form_digest_n8():
+    """Pins the canonical bytes at n = 8, where no brute force is cheap:
+    seeded G(8, p) graphs, each under two relabelings, and SYMMETRIC_8."""
+    rng = random.Random(8)
+    lines = []
+    for p in (0.3, 0.5, 0.7):
+        for _ in range(100):
+            g = random_graph(rng, 8, p)
+            lines += [canonical_form(relabel(g, rng.sample(range(8), 8)))
+                      for _ in range(2)]
+    for g in SYMMETRIC_8:
+        lines += [canonical_form(relabel(g, rng.sample(range(8), 8)))
+                  for _ in range(2)]
+    assert all(a == b for a, b in zip(lines[::2], lines[1::2]))
+    digest = hashlib.sha256(b"\n".join(lines)).hexdigest()
+    assert digest == N8_CANONICAL_DIGEST
+
+
+def _children(parent: Graph):
+    """Each one-column extension of parent, with its key."""
+    n = parent.n + 1
+    for col in range(1 << parent.n):
+        child = Graph(n, parent.edges + tuple(
+            (i, n - 1) for i in range(n - 1) if col >> (n - 2 - i) & 1))
+        yield child, labeled_key(child)
+
+
+def test_bounded_min_key_is_exact_on_every_candidate_through_n7():
+    """_min_key(adj, k) is k iff k is the least key, and below k otherwise,
+    on every candidate orderly generation tests through order 7: against
+    brute force through order 5, against the unbounded search above."""
+    for parent in frozen_corpus(7):
+        if parent.n >= 7:
+            continue
+        for child, k in _children(parent):
+            got = graphs._min_key(child.adj, k)
+            least = (brute_canonical_key(child) if child.n <= 5
+                     else graphs._min_key(child.adj))
+            assert got == k if least == k else got < k
 
 
 # ---------------------------------------------------------------------------
