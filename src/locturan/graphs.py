@@ -11,11 +11,15 @@ bit first, each group + 63.  Padding bits must be zero.
 
 Canonical forms (n <= 8) minimize that same bit sequence, the key, over all
 n! relabelings, so equal canonical forms mean isomorphic, exactly.  The
-search assigns labels one at a time and keeps only the partial relabelings
-whose key prefix is least; twins (same neighbours apart from each other)
-take labels in index order, since permuting twins is an automorphism.
-Enumeration is orderly: a canonical (n-1)-vertex key plus one new column is
-kept iff the search finds no smaller key.
+search is a depth-first branch and bound over labels 0, 1, ...: label j may
+go to any vertex of the cell of unplaced vertices whose column (edges to
+labels 0..j-1) is least, which bitset refinement finds, and a branch is
+followed only while its columns equal the best ones found so far, label by
+label.  Twins (same neighbours apart from each other) take labels in index
+order, since permuting twins is an automorphism.  Enumeration is orderly: a
+canonical (n-1)-vertex key plus one new column is kept iff the search,
+bounded by that key, finds no relabeling with a smaller column where all
+earlier ones tie; it stops at the first one it finds.
 
 Connectivity and cut structure come from bitset reachability alone, one
 vertex mask grown along the adjacency bitsets: components, cut vertices
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rationals import format_rational, parse_rational
 
@@ -210,40 +214,81 @@ def write_graph6(g: Graph, header: bool = False) -> str:
 # canonical forms and isomorph-free enumeration
 
 
-def _min_key(adj: tuple[int, ...], bound: int | None = None) -> int:
+def _min_key(adj: Sequence[int], bound: int | None = None) -> int:
     """Least key over all relabelings of the graph with adjacency bitsets
-    adj.  Given the key of some relabeling as bound, it returns a smaller
-    number as soon as a key prefix falls below the bound's."""
+    adj.  Given the key of some relabeling as bound, it returns bound iff
+    bound is the least key, and otherwise a smaller number, as soon as one
+    column of a relabeling falls below the bound's."""
     n = len(adj)
-    twins_before = [
-        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-        for v in range(n)
-    ]
-    # nxt: (placed vertices, columns, next vertex) per prefix-minimal labeling;
-    # n-bit field w of columns is the key column w gets if labeled next (it
-    # has < n bits), and labeling v appends bit w of to[v] to each field w
-    to = [sum((a >> v & 1) << n * w for w, a in enumerate(adj)) for v in range(n)]
-    mask = (1 << n) - 1
-    nxt = [(0, 0, v) for v in range(n) if not twins_before[v]]
+    if n < 2:
+        return 0
+    full = (1 << n) - 1
+    # twins_before[v]: the lower-index twins of v, which take labels first
+    # (equal open neighbourhoods if they are not adjacent, equal closed
+    # ones if they are), found by grouping on both in one pass
+    twins_before = []
+    groups: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        same_open = groups.get(a, 0)
+        same_closed = groups.get(a | bit, 0)
+        twins_before.append(same_open | same_closed)
+        groups[a] = same_open | bit
+        groups[a | bit] = same_closed | bit
+    # best[j]: column j of the bound, or of the least key found so far
+    # (2^j while there is none)
+    if bound is None:
+        best = [0] + [1 << j for j in range(1, n)]
+    else:
+        best, rest = [0] * n, bound
+        for j in range(n - 1, 0, -1):
+            best[j], rest = rest & ((1 << j) - 1), rest >> j
+    labels = [0] * n
+
+    def search(j: int, placed: int, cell: int, c: int) -> int | None:
+        # labels 0..j-1 are placed; cell holds the unplaced vertices whose
+        # column c (their edges to labels 0..j-1) is least, so label j goes
+        # to one of them
+        if c > best[j]:
+            return None
+        if c < best[j]:
+            if bound is not None:
+                after = n * (n - 1) // 2 - j * (j + 1) // 2  # bits after column j
+                return (bound >> after + j << j | c) << after
+            best[j] = c
+            best[j + 1 :] = [1 << i for i in range(j + 1, n)]
+        if j == n - 1:
+            return None
+        todo = cell
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            if twins_before[v] & ~placed:
+                continue
+            labels[j] = v
+            # the least column after label j: split the rest of this cell by
+            # adjacency to v or, if v was its last vertex, refine afresh
+            sub, col, refine = cell ^ low, c, (v,)
+            if not sub:
+                sub, col, refine = full & ~(placed | low), 0, labels[: j + 1]
+            for w in refine:
+                t = sub & ~adj[w]
+                if t:
+                    sub, col = t, col << 1
+                else:
+                    col = col << 1 | 1
+            found = search(j + 1, placed | low, sub, col)
+            if found is not None:
+                return found
+        return None
+
+    found = search(0, 0, full, 0)
+    if bound is not None:
+        return bound if found is None else found
     key = 0
-    rem = n * (n - 1) // 2
     for j in range(1, n):
-        rem -= j
-        best = 1 << j if bound is None else bound >> rem & ((1 << j) - 1)
-        frontier = [(placed | 1 << v, cols << 1 | to[v]) for placed, cols, v in nxt]
-        nxt = []
-        for placed, cols in frontier:
-            for v in range(n):
-                if placed >> v & 1 or twins_before[v] & ~placed:
-                    continue
-                c = cols >> n * v & mask
-                if c < best:
-                    if bound is not None:
-                        return (key << j | c) << rem
-                    best, nxt = c, []
-                if c == best:
-                    nxt.append((placed, cols, v))
-        key = key << j | best
+        key = key << j | best[j]
     return key
 
 
@@ -258,18 +303,29 @@ def canonical_form(g: Graph) -> bytes:
     return write_graph6(_graph_from_key(g.n, _min_key(g.adj))).encode("ascii")
 
 
-def _representatives(n: int) -> Iterator[int]:
-    """Canonical keys of the n-vertex classes, ascending.  A child's key is
-    parent << (n-1) | col with col < 2^(n-1), so the children of ascending
-    parents come out ascending; only the n open generators are kept."""
+def _representatives(n: int) -> Iterator[tuple[int, list[int]]]:
+    """Canonical keys of the n-vertex classes, ascending, each with its
+    adjacency bitsets.  A child's key is parent << (n-1) | col with
+    col < 2^(n-1), so the children of ascending parents come out ascending;
+    its adjacency is the parent's plus vertex n-1, adjacent to vertex i iff
+    bit n-2-i of col is set.  The child is kept iff the depth-first search
+    bounded by its key finds no relabeling that undercuts one of the key's
+    columns where all earlier columns tie; it rejects at the first such
+    relabeling.  Only the n open generators are kept."""
     if n == 1:
-        yield 0
+        yield 0, [0]
         return
-    for parent in _representatives(n - 1):
-        for col in range(1 << (n - 1)):
-            k = parent << (n - 1) | col
-            if _min_key(_graph_from_key(n, k).adj, k) == k:
-                yield k
+    top = n - 1
+    # nbrs[col]: the neighbour bitset of vertex n-1 given column col
+    nbrs = [sum((col >> (top - 1 - i) & 1) << i for i in range(top))
+            for col in range(1 << top)]
+    for parent, padj in _representatives(top):
+        for col, nb in enumerate(nbrs):
+            k = parent << top | col
+            adj = [a | (nb >> i & 1) << top for i, a in enumerate(padj)]
+            adj.append(nb)
+            if _min_key(adj, k) == k:
+                yield k, adj
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -279,7 +335,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     (n-1)-vertex key plus the one new column that no relabeling undercuts."""
     if not 1 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {CANON_CAP}, got {n}")
-    for key in _representatives(n):
+    for key, _ in _representatives(n):
         g = _graph_from_key(n, key)
         if connected_only and not is_connected(g):
             continue
