@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, WeightedGraph
-from .rationals import format_rational
 from .stats import weighted_ratio_terms
 
 
@@ -189,36 +188,6 @@ def bound_from_cover(wg: WeightedGraph, cover: PathDoubleCover) -> CoverBound:
     )
 
 
-def write_cover(cover: PathDoubleCover, comment: str | None = None) -> str:
-    """One path per line, space-separated vertex ids; '#' lines are comments."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.extend(" ".join(str(v) for v in seq) for seq in cover.paths)
-    return "\n".join(lines) + "\n"
-
-
-def parse_cover(text: str) -> PathDoubleCover:
-    paths = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            seq = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected space-separated vertex ids") from None
-        paths.append(seq)
-    return PathDoubleCover(tuple(paths))
-
-
-def cover_report(wg: WeightedGraph, cover: PathDoubleCover) -> str:
-    """Human-readable certificate chain, exact rationals throughout."""
-    bound = bound_from_cover(wg, cover)
-    lines = [
-        f"paths={len(cover.paths)} carrying-edges={bound.path_count}",
-        f"edge-sum={format_rational(bound.edge_sum)}",
-        f"certified-bound={format_rational(bound.certified_bound)}"
-        f" vertex-bound={format_rational(bound.vertex_bound)}",
-    ]
-    return "\n".join(lines) + "\n"
+def write_cover(cover: PathDoubleCover) -> str:
+    """One path per line, space-separated vertex ids."""
+    return "\n".join(" ".join(str(v) for v in seq) for seq in cover.paths) + "\n"

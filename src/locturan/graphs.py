@@ -194,7 +194,7 @@ def parse_graph6(line: str | bytes) -> Graph:
     return Graph(n, edges)
 
 
-def write_graph6(g: Graph, header: bool = False) -> str:
+def write_graph6(g: Graph) -> str:
     if g.n > MAX_VERTICES:
         raise ValueError("graph too large for this writer")
     bits = [1 if g.has_edge(i, j) else 0 for i, j in _edge_order(g.n)]
@@ -206,8 +206,7 @@ def write_graph6(g: Graph, header: bool = False) -> str:
         for b in bits[k : k + 6]:
             group = group << 1 | b
         chars.append(chr(group + 63))
-    prefix = ">>graph6<<" if header else ""
-    return prefix + "".join(chars)
+    return "".join(chars)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Matching structure: factor-criticality, the canonical D/A/C decomposition,
-degree-sum closures, and the clique-anchored edge-count bound.
+and degree-sum closures.
 
 The decomposition computes D = {v : deleting v leaves the matching number
 unchanged}, A = N(D) \\ D, C = V \\ (D u A), then re-verifies the structure
@@ -9,19 +9,16 @@ of G[D], and the deficiency identity n - 2*mu == (#components of D) - |A|
 holds.  A verification failure raises rather than returning bad structure.
 
 The k-closure repeatedly joins the lexicographically least nonadjacent pair
-with degree sum >= k.  With k = 2*mu(G) + 1 the closure preserves the
-matching number, which is what makes the clique-anchored bound f(s) =
-C(s,2) + (2k - s + 1)(n - s) checkable on the closed graph.
+with degree sum >= k; with k = 2*mu(G) + 1 it keeps the matching number.
+The `ge` and `closure` subcommands print these two structures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 from .graphs import Graph, component_masks, induced_subgraph, mask_vertices
-from .stats import enumerate_cliques, match_table, matching_number
+from .stats import match_table, matching_number
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -129,90 +126,3 @@ def k_closure(g: Graph, k: int) -> ClosureResult:
             return ClosureResult(cur, tuple(added), k)
         cur = cur.with_edges([pick])
         added.append(pick)
-
-
-def closure_preserves_matching_number(g: Graph, k: int | None = None) -> bool:
-    """Whether the (2*mu+1)-closure keeps the matching number unchanged."""
-    mu = matching_number(g)
-    if k is None:
-        k = mu
-    elif k != mu:
-        raise ValueError(f"k must equal the matching number {mu}, got {k}")
-    closed = k_closure(g, 2 * k + 1).graph
-    return matching_number(closed) == mu
-
-
-def nw_bound(s: int, k: int, n: int) -> int:
-    """f(s) = C(s,2) + (2k - s + 1)(n - s)."""
-    if s < 0 or n < 0:
-        raise ValueError("s and n must be nonnegative")
-    return comb(s, 2) + (2 * k - s + 1) * (n - s)
-
-
-@dataclass(frozen=True)
-class CliqueBoundReport:
-    """Edge-count check of the closed graph against f(s) case analysis."""
-
-    applicable: bool
-    reason: str | None
-    mu: int
-    closure_edges: int
-    core: tuple[int, ...]
-    clique: tuple[int, ...] | None
-    s: int | None
-    checks: tuple[tuple[str, int, bool], ...]  # (label, bound, satisfied)
-    ok: bool
-
-
-def nw_bound_check(g: Graph) -> CliqueBoundReport:
-    """Check e(closure) against f(s) on the high-degree core's clique.
-
-    Gamma is the (2k+1)-closure for k = mu(G); the core is the set of
-    vertices of Gamma-degree >= k+1.  When the core is a clique of Gamma,
-    S is the lex-least largest clique containing it (so maximal), and the case
-    analysis says: s <= k implies e(Gamma) <= f(k); k+1 <= s <= 2k+1
-    implies e(Gamma) <= max{f(t), f(k+1)} for every t in [s, 2k+1].
-    """
-    k = matching_number(g)
-    gamma = k_closure(g, 2 * k + 1).graph
-    e_gamma = gamma.m
-    core = tuple(v for v in range(gamma.n) if gamma.degree(v) >= k + 1)
-    if any(not gamma.has_edge(u, v) for i, u in enumerate(core) for v in core[i + 1:]):
-        return CliqueBoundReport(False, "core is not a clique of the closure", k, e_gamma,
-                                 core, None, None, (), True)
-    # the first clique containing the core, by size descending and then lex
-    clique = next((c for s in range(gamma.n, 0, -1) for c in enumerate_cliques(gamma, s)
-                   if set(core).issubset(c)), None)
-    if clique is None:
-        # only possible when the graph is empty of vertices
-        return CliqueBoundReport(False, "no clique contains the core", k, e_gamma,
-                                 core, None, None, (), True)
-    s = len(clique)
-    checks: list[tuple[str, int, bool]] = []
-    if s <= k:
-        bound = nw_bound(k, k, gamma.n)
-        checks.append((f"f({k})", bound, e_gamma <= bound))
-    elif s <= 2 * k + 1:
-        for t in range(s, 2 * k + 2):
-            bound = max(nw_bound(t, k, gamma.n), nw_bound(k + 1, k, gamma.n))
-            checks.append((f"max(f({t}),f({k + 1}))", bound, e_gamma <= bound))
-    else:
-        return CliqueBoundReport(False, f"clique order {s} exceeds 2k+1", k, e_gamma,
-                                 core, clique, s, (), False)
-    return CliqueBoundReport(
-        True, None, k, e_gamma, core, clique, s, tuple(checks),
-        all(c[2] for c in checks),
-    )
-
-
-def stability_check(g: Graph) -> bool:
-    """Implication: n <= (5*mu+1)/2 and e > 2*mu^2 force the edges onto at
-    most 2*mu+1 vertices.  True when the hypothesis fails or the conclusion
-    holds."""
-    mu = matching_number(g)
-    n = g.n
-    e = g.m
-    if Fraction(n) > Fraction(5 * mu + 1, 2) or e <= 2 * mu * mu:
-        return True
-    support = sum(1 for v in range(n) if g.degree(v) > 0)
-    return support <= 2 * mu + 1

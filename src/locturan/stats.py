@@ -348,12 +348,6 @@ def matching_profile(g: Graph) -> EdgeStatProfile:
     return EdgeStatProfile("mu", {e: max_matching_containing_edge(g, e) for e in g.edges})
 
 
-def f_edge_set(g: Graph) -> list[tuple[int, int]]:
-    """Edges contained in no maximum matching."""
-    mu = matching_number(g)
-    return [e for e in g.edges if max_matching_containing_edge(g, e) == mu - 1]
-
-
 # ---------------------------------------------------------------------------
 # cliques
 

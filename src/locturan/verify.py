@@ -33,13 +33,14 @@ Bounds covered, with their equality families where one is known:
   delta           max degree >= (s+1) n_{s+1}/n_s + s - 1 when n_s >= 1.
 
 The theorem registry (_REGISTRY) is the one place a theorem is declared:
-its id, its kind (how the driver calls it), its verifier, and whether its
-equality census is checked against the family.  verify_corpus runs any set
-of these over enumerated or supplied graphs, under the weightings that
-`weightings` derives, tracks minimum slack with a witness, censuses
-equality cases, cross-checks equality against family membership in both
-directions where a family is known, and hard-fails on any negative slack or
-family mismatch.
+its id, its kind (how the driver calls it) and its verifier.  A verifier
+whose theorem has a known equality family (bbrs, local-bbrs,
+local-matching) sets family_match on its reports; no other does.
+verify_corpus runs any set of these over enumerated or supplied graphs,
+under the weightings that `weightings` derives, tracks minimum slack with a
+witness, censuses equality cases, cross-checks equality against
+family_match in both directions wherever it is set, and hard-fails on any
+negative slack or family mismatch.
 
 A verifier computes only its bound.  The driver, reports_for_graph, sets
 graph6 on every report and the weighting label on weighted ones; a verifier
@@ -441,36 +442,34 @@ def verify_delta_lemma(g: Graph, s: int) -> VerificationReport:
 # clique order s, or once per weighting.
 PLAIN, ROOTED, CLIQUE, WEIGHTED = "plain", "rooted", "clique", "weighted"
 
-# The theorem registry: the one place a theorem is declared, with its kind,
-# its verifier, and whether its equality census doubles as an exact family
-# biconditional.  `all` runs the theorems in this order.
-_REGISTRY: tuple[tuple[str, str, Callable[..., VerificationReport], bool], ...] = (
-    ("eg-path", PLAIN, verify_eg_path, False),
-    ("eg-cycle", PLAIN, verify_eg_cycle, False),
-    ("eg-matching", PLAIN, verify_eg_matching, False),
-    ("bbrs", PLAIN, verify_bbrs, True),
-    ("mt", PLAIN, verify_mt_path, False),
-    ("zz", PLAIN, verify_zz_cycle, False),
-    ("local-bbrs", ROOTED, verify_local_bbrs, True),
-    ("local-matching", PLAIN, verify_local_matching, True),
-    ("weighted-mt", WEIGHTED, verify_weighted_mt, False),
-    ("gt-path", CLIQUE, verify_gt_path, False),
-    ("gt-star", CLIQUE, verify_gt_star, False),
-    ("fmr", WEIGHTED, verify_fmr, False),
-    ("bondy-fan", WEIGHTED, verify_bondy_fan, False),
-    ("ning-vpath", ROOTED, verify_ning_vpath, False),
-    ("star", PLAIN, verify_star_prop, False),
-    ("delta", CLIQUE, verify_delta_lemma, False),
+# The theorem registry: the one place a theorem is declared, with its kind
+# and its verifier.  `all` runs the theorems in this order.
+_REGISTRY: tuple[tuple[str, str, Callable[..., VerificationReport]], ...] = (
+    ("eg-path", PLAIN, verify_eg_path),
+    ("eg-cycle", PLAIN, verify_eg_cycle),
+    ("eg-matching", PLAIN, verify_eg_matching),
+    ("bbrs", PLAIN, verify_bbrs),
+    ("mt", PLAIN, verify_mt_path),
+    ("zz", PLAIN, verify_zz_cycle),
+    ("local-bbrs", ROOTED, verify_local_bbrs),
+    ("local-matching", PLAIN, verify_local_matching),
+    ("weighted-mt", WEIGHTED, verify_weighted_mt),
+    ("gt-path", CLIQUE, verify_gt_path),
+    ("gt-star", CLIQUE, verify_gt_star),
+    ("fmr", WEIGHTED, verify_fmr),
+    ("bondy-fan", WEIGHTED, verify_bondy_fan),
+    ("ning-vpath", ROOTED, verify_ning_vpath),
+    ("star", PLAIN, verify_star_prop),
+    ("delta", CLIQUE, verify_delta_lemma),
 )
 
-ALL_THEOREMS: tuple[str, ...] = tuple(thm for thm, _, _, _ in _REGISTRY)
-_KIND: dict[str, str] = {thm: kind for thm, kind, _, _ in _REGISTRY}
+ALL_THEOREMS: tuple[str, ...] = tuple(thm for thm, _, _ in _REGISTRY)
+_KIND: dict[str, str] = {thm: kind for thm, kind, _ in _REGISTRY}
 # The driver calls each verifier through this dict, so that an entry can be
 # rebound in place (perfbench/trace_job.py wraps each one to time it).
 _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
-    thm: fn for thm, _, fn, _ in _REGISTRY
+    thm: fn for thm, _, fn in _REGISTRY
 }
-_FAMILY_CHECKED = frozenset(thm for thm, _, _, family in _REGISTRY if family)
 
 
 @dataclass(frozen=True)
@@ -623,16 +622,15 @@ def _witness_of(rep: VerificationReport) -> dict:
     return w
 
 
+def _family_mismatch(rep: VerificationReport) -> bool:
+    """True when a report's equality flag disagrees with family_match,
+    which only the family-checked verifiers set."""
+    return rep.family_match is not None and rep.equality != rep.family_match
+
+
 def is_counterexample(rep: VerificationReport) -> bool:
     """True when a report falsifies a claimed bound or equality family."""
-    if rep.status == VIOLATED:
-        return True
-    return (
-        rep.theorem in _FAMILY_CHECKED
-        and rep.status == OK
-        and rep.family_match is not None
-        and rep.equality != rep.family_match
-    )
+    return rep.status == VIOLATED or _family_mismatch(rep)
 
 
 def _absorb(summary: TheoremSummary, rep: VerificationReport, failures: list[str]) -> None:
@@ -655,14 +653,13 @@ def _absorb(summary: TheoremSummary, rep: VerificationReport, failures: list[str
     if rep.equality:
         summary.equality_count += 1
         summary.equalities.append(_witness_of(rep))
-    if rep.theorem in _FAMILY_CHECKED and rep.family_match is not None:
-        if rep.equality != rep.family_match:
-            entry = _witness_of(rep) | {
-                "equality": rep.equality, "family_match": rep.family_match
-            }
-            summary.family_mismatches.append(entry)
-            failures.append(f"{rep.theorem}: equality/family mismatch {entry}")
-    if rep.theorem == "local-matching" and rep.witness is not None:
+    if _family_mismatch(rep):
+        entry = _witness_of(rep) | {
+            "equality": rep.equality, "family_match": rep.family_match
+        }
+        summary.family_mismatches.append(entry)
+        failures.append(f"{rep.theorem}: equality/family mismatch {entry}")
+    if rep.witness is not None:
         strict = rep.witness.get("family_strict_boundary_reading")
         if strict is not None and strict != rep.family_match:
             summary.reading_divergences.append(

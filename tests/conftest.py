@@ -412,10 +412,3 @@ def naive_join_clique_empty(g: Graph, mu: int) -> bool:
         and not any(u not in hub and v not in hub for u, v in g.edges)
         for hub in combinations(range(g.n), mu)
     )
-
-
-def naive_largest_clique_containing(g: Graph, core) -> tuple[int, ...] | None:
-    """The lex-least among the largest cliques that contain core."""
-    cliques = [c for k in range(1, g.n + 1) for c in combinations(range(g.n), k)
-               if set(core) <= set(c) and naive_is_clique(g, c)]
-    return min(cliques, key=lambda c: (-len(c), c), default=None)

@@ -13,9 +13,7 @@ from locturan.covers import (
     CoverVerdict,
     PathDoubleCover,
     bound_from_cover,
-    cover_report,
     find_spdc,
-    parse_cover,
     validate_pdc,
     write_cover,
 )
@@ -224,18 +222,5 @@ def test_bound_rejects_invalid_cover():
 
 def test_cover_round_trip_and_comments():
     cover = PathDoubleCover(((0, 1, 2), (2, 0), (1, 0)))
-    text = write_cover(cover, comment="three paths")
-    assert text.startswith("# three paths\n")
-    assert parse_cover(text) == cover
-
-
-def test_parse_cover_errors():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_cover("0 1\n0 x\n")
-
-
-def test_cover_report_text():
-    g = complete_graph(3)
-    report = cover_report(WeightedGraph.unit(g), find_spdc(g))
-    assert "certified-bound=3/2" in report
-    assert "edge-sum=3/2" in report
+    assert write_cover(cover) == "0 1 2\n2 0\n1 0\n"
+    assert write_cover(PathDoubleCover(())) == "\n"

@@ -1,15 +1,11 @@
-"""Decomposition, factor-criticality, closures, and the clique edge bound."""
+"""Decomposition, factor-criticality, and closures."""
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from conftest import (
     frozen_corpus,
     naive_d_set,
     naive_factor_critical,
-    naive_largest_clique_containing,
     naive_mu,
     random_graph,
 )
@@ -22,15 +18,7 @@ from locturan.graphs import (
     path_graph,
     star_graph,
 )
-from locturan.matching import (
-    closure_preserves_matching_number,
-    gallai_edmonds,
-    is_factor_critical,
-    k_closure,
-    nw_bound,
-    nw_bound_check,
-    stability_check,
-)
+from locturan.matching import gallai_edmonds, is_factor_critical, k_closure
 from locturan.stats import matching_number
 
 
@@ -156,83 +144,3 @@ def test_closure_unique_under_randomized_orders():
         want = k_closure(g, k).graph
         for _ in range(3):
             assert random_order_closure(g, k, rng) == want
-
-
-def test_closure_preserves_mu():
-    assert closure_preserves_matching_number(k5_minus_edge())
-    assert closure_preserves_matching_number(cycle_graph(5))
-    with pytest.raises(ValueError):
-        closure_preserves_matching_number(cycle_graph(5), k=3)
-
-
-def test_closure_preserves_mu_corpus_n6():
-    for g in frozen_corpus(6):
-        assert closure_preserves_matching_number(g)
-
-
-# ---------------------------------------------------------------------------
-# the clique-anchored edge bound and stability
-
-
-def test_nw_bound_values():
-    assert nw_bound(2, 2, 6) == 1 + 3 * 4
-    assert nw_bound(5, 2, 5) == 10
-    assert nw_bound(0, 3, 4) == 7 * 4
-    with pytest.raises(ValueError):
-        nw_bound(-1, 2, 5)
-
-
-def test_nw_bound_check_examples():
-    rep = nw_bound_check(k5_minus_edge())
-    assert rep.ok
-    rep = nw_bound_check(complete_graph(5))
-    assert rep.ok
-    rep = nw_bound_check(star_graph(5))
-    assert rep.ok
-
-
-def test_nw_bound_check_corpus_mu23_n6():
-    seen_applicable = 0
-    for g in frozen_corpus(6):
-        if matching_number(g) not in (2, 3):
-            continue
-        rep = nw_bound_check(g)
-        assert rep.ok
-        if rep.applicable:
-            seen_applicable += 1
-            assert rep.checks
-    assert seen_applicable > 0
-
-
-def test_nw_bound_check_clique_is_lex_least_largest_through_core_n6():
-    anchored = 0
-    for g in frozen_corpus(6):
-        rep = nw_bound_check(g)
-        if rep.reason == "core is not a clique of the closure":
-            assert rep.clique is None
-            continue
-        gamma = k_closure(g, 2 * matching_number(g) + 1).graph
-        assert rep.clique == naive_largest_clique_containing(gamma, rep.core)
-        assert rep.s == len(rep.clique)
-        anchored += 1
-    assert anchored > 0
-
-
-def test_stability_examples():
-    assert stability_check(disjoint_union(complete_graph(5), Graph(1)))
-    assert stability_check(cycle_graph(5))
-
-
-def test_stability_corpus_mu23_n6():
-    for g in frozen_corpus(6):
-        if matching_number(g) in (2, 3):
-            assert stability_check(g)
-
-
-def test_stability_hypothesis_actually_fires_somewhere():
-    fired = 0
-    for g in frozen_corpus(6):
-        mu = matching_number(g)
-        if mu and Fraction(g.n) <= Fraction(5 * mu + 1, 2) and g.m > 2 * mu * mu:
-            fired += 1
-    assert fired > 0

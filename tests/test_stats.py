@@ -53,7 +53,6 @@ from locturan.stats import (
     clique_star_profile,
     cycle_profile,
     enumerate_cliques,
-    f_edge_set,
     longest_cycle_through_edge,
     longest_path,
     longest_path_through_edge,
@@ -161,14 +160,6 @@ def test_mu_edge_examples():
     for e in j.edges:
         if e != (0, 1):
             assert max_matching_containing_edge(j, e) == 2
-
-
-def test_f_edge_set_examples():
-    j = join_graphs(complete_graph(2), Graph(4))
-    assert f_edge_set(j) == [(0, 1)]
-    assert f_edge_set(cycle_graph(5)) == []
-    k4 = complete_graph(4)
-    assert f_edge_set(k4) == []
 
 
 def test_clique_enumeration_examples():
@@ -419,15 +410,16 @@ def test_mu_edge_deletion_identity_n5():
 
 
 def test_saturation_property_of_f_edges():
-    """With mu >= 3, F-edge endpoints are saturated in every maximum matching
-    and their partners are nonadjacent."""
+    """With mu >= 3, the endpoints of an F-edge (an edge in no maximum
+    matching) are saturated in every maximum matching and their partners
+    are nonadjacent."""
     checked = 0
     for n in (6, 7):
         for g in enumerate_graphs(n):
             mu = matching_number(g)
             if mu < 3:
                 continue
-            fset = set(f_edge_set(g))
+            fset = {e for e in g.edges if max_matching_containing_edge(g, e) == mu - 1}
             if not fset:
                 continue
             maxima = [m for m in all_matchings(g) if len(m) == mu]
