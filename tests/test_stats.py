@@ -379,6 +379,25 @@ def test_path_stats_digest_n7():
     )
 
 
+def test_path_stats_digest_n9_to_n12():
+    """Seeded G(n, p) graphs with 9 <= n <= 12, pinned per vertex and per
+    edge: ell(v), p(e), c(e) and, on the connected ones, p_v(e) at root 0.
+    The path tables hold 2^n bits per source, wider than any n <= 8 run."""
+    rng = random.Random(53)
+    h = hashlib.sha256()
+    for n in range(9, 13):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8):
+            g = random_graph(rng, n, p)
+            rows = [[longest_vpath(g, v) for v in range(n)], path_profile(g),
+                    cycle_profile(g)]
+            if is_connected(g):
+                rows.append(vpath_profile(g, 0))
+            h.update(f"{write_graph6(g)} {rows!r}\n".encode("ascii"))
+    assert h.hexdigest() == (
+        "ebee45d60b40649bf80e850a2524274549a6afbc3275bcd9c8568f9074535eb8"
+    )
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 
