@@ -314,6 +314,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             roots = int(roots)
         except ValueError:
             raise UsageError(f"bad --roots value {args.roots!r}") from None
+        if roots < 0:
+            raise UsageError(f"--roots must be 'all' or >= 0, got {roots}")
     _check_seed(args)
     s_values = _parse_s_list(args.s)
     if {"gt-path", "gt-star"} & set(theorems) and min(s_values) < 2:

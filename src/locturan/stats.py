@@ -1,30 +1,38 @@
 """Exact per-edge, rooted, clique, and weighted longest-path statistics.
 
-The unweighted statistics run on a subset dynamic program packed into big
-integers: for a fixed source s, F[u] is an integer whose bit at position
-`mask` is set iff some simple path from s covering exactly the vertices of
-`mask` ends at u.  One transition round ORs neighbor tables, keeps only
-masks missing u, and shifts by 2^u to add u; a fixpoint is reached in at
-most n rounds.  Every path query is then one join.  For each vertex y, the
-level set S_y[j] has bit M set iff some path from y avoids M and has
-j - |M| vertices, so the largest |M1| + |M2| over masks M1 of a given set and
-paths M2 from y disjoint from them is the largest j where the set meets
-S_y[j].  p(ab) joins the paths from a with b, p_v(ab) the paths from v that
-end at one end of ab with the other end, and ell(v) the empty mask with v;
-p(S) first shifts the masks that avoid the rest of S onto it.  c(ab) is the
-largest path mask from a to b with at least 3 vertices, or 2.  The level
-sets are built once per vertex; no per-edge, per-root or per-clique tables
-are built.
+The unweighted statistics run on one subset dynamic program packed into big
+integers.  The bits of each integer form n blocks of 2^n, one per source s,
+and bit s 2^n + mask of F[u] is set iff some simple path from s covering
+exactly the vertices of `mask` ends at u.  One transition round ORs neighbor
+tables, keeps only masks missing u, and shifts by 2^u to add u, which never
+carries into the next block; so every source grows in the same rounds, and
+a fixpoint is reached in at most n of them.  Every path query is then
+one join.  For each vertex y, the level set S_y[j] has bit M set iff some
+path from y avoids M and has j - |M| vertices, so the largest |M1| + |M2|
+over masks M1 of a given set and paths M2 from y disjoint from them is the
+largest j where the set meets S_y[j].  All S_y come from one packed pass:
+the bit-reversed OR of the tables holds full ^ M2 in block n-1-y for each
+path mask M2 from y, n shift-OR steps close each path size under subsets,
+and levels[j] holds S_y[j] in block n-1-y.  A query moves its masks into
+that block.  p(ab) joins the paths from a with b, p_v(ab) the paths from v
+that end at one end of ab with the other end, and ell(v) the empty mask with
+v; p(S) first shifts the masks that avoid the rest of S onto it.  c(ab) is
+the largest path mask from a to b with at least 3 vertices, or 2.  An
+engine is n tables, their OR and n + 1 level integers; no per-edge,
+per-root or per-clique tables are built.
 
-Weighted statistics scale the weights to integers by the lcm d of their
-denominators and run one max-weight subset DP (Bellman 1962; Held & Karp
-1962) over reached states only: t[mask] is None, or maps each end v of a path
-from a root on exactly the vertices of mask to the heaviest such path.  Rooted
-at every vertex, with the heaviest continuation from each state, it gives
-w(p(e)) for every edge: one profile, cached per weighting as the PathEngine is
-per graph, that yields the heaviest path and each w(e)/w(p(e)) as an integer
-over one denominator.  Rooted at a cycle's least vertex r, on the vertices
->= r, it gives the heaviest cycle.  Each result is divided by d once.
+When every edge weighs the same c, the heaviest path through e weighs
+c p(e) and the heaviest cycle c times the circumference, so the weighted
+statistics read those from the graph's engine.  Any other weighting is
+scaled to integers by the lcm d of its denominators and runs one max-weight
+subset DP (Bellman 1962; Held & Karp 1962) over reached states only: t[mask]
+is None, or maps each end v of a path from a root on exactly the vertices of
+mask to the heaviest such path.  Rooted at every vertex, with the heaviest
+continuation from each state, it gives w(p(e)) for every edge: one profile,
+cached per weighting as the PathEngine is per graph, that yields the
+heaviest path and each w(e)/w(p(e)) as an integer over one denominator.
+Rooted at a cycle's least vertex r, on the vertices >= r, it gives the
+heaviest cycle.  Each result is divided by d once.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
 from operator import or_
@@ -77,43 +85,27 @@ class CliqueStatProfile:
 
 
 # ---------------------------------------------------------------------------
-# mask-lattice constants, cached per n
+# packed mask sets, cached per n
 
 
 @lru_cache(maxsize=None)
-def _size_masks(n: int) -> tuple[int, ...]:
-    """out[k]: bit at position mask set iff |mask| == k."""
-    out = [0] * (n + 1)
-    for m in range(1 << n):
-        out[m.bit_count()] |= 1 << m
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _without_vertex(n: int) -> tuple[int, ...]:
-    """out[v]: bit at position mask set iff v not in mask."""
-    out = []
-    for v in range(n):
-        block = (1 << (1 << v)) - 1
-        period = 1 << (v + 1)
-        val = 0
-        for base in range(0, 1 << n, period):
-            val |= block << base
-        out.append(val)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _subset_closure(n: int) -> tuple[int, ...]:
-    """out[m]: bit at position x set iff x is a subset of m."""
+def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Mask sets over n blocks of 2^n bits, where bit s 2^n + mask stands for
+    mask in block s: sizes[k] holds every mask with |mask| == k, and
+    without[v] every mask missing v, in each block; blocks[s] is block s."""
     size = 1 << n
-    sub = [0] * size
-    sub[0] = 1
-    for m in range(1, size):
-        lb = m & -m
-        prev = sub[m ^ lb]
-        sub[m] = prev | (prev << lb)
-    return tuple(sub)
+    spread = sum(1 << (s << n) for s in range(n))  # one copy per block
+    sizes = [0] * (n + 1)
+    for m in range(size):
+        sizes[m.bit_count()] |= 1 << m
+    # the masks missing v come in runs of 2^v, one every 2^(v+1)
+    without = [sum(((1 << (1 << v)) - 1) << base for base in range(0, size, 2 << v))
+               for v in range(n)]
+    return (
+        tuple(x * spread for x in sizes),
+        tuple(x * spread for x in without),
+        tuple(((1 << size) - 1) << (s << n) for s in range(n)),
+    )
 
 
 class PathEngine:
@@ -123,63 +115,58 @@ class PathEngine:
         if g.n > TABLE_CAP:
             raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {g.n}")
         self.g = g
-        self.n = g.n
-        self.full = (1 << g.n) - 1
-        self._sizes = _size_masks(g.n)
-        self._wo = _without_vertex(g.n)
-        self._from = [self._table_from(s) for s in range(g.n)]
-        self._union = [reduce(or_, t, 0) for t in self._from]
-        self._levels: dict[int, list[int]] = {}
-
-    def _table_from(self, s: int) -> list[int]:
-        adj = self.g.adj
-        table = [0] * self.n
-        table[s] = 1 << (1 << s)
+        n = self.n = g.n
+        self._sizes, self._without, self._blocks = _lattice(n)
+        nbrs = [[v for v in range(n) if g.adj[u] >> v & 1] for u in range(n)]
+        # table[u]: bit s 2^n + mask set iff a path from s on exactly mask
+        # ends at u.  Adding u to a mask without u stays inside its block.
+        table = [1 << (u << n | 1 << u) for u in range(n)]
         changed = True
         while changed:
             changed = False
-            for u in range(self.n):
+            for u in range(n):
                 acc = 0
-                nb = adj[u]
-                while nb:
-                    low = nb & -nb
-                    nb ^= low
-                    acc |= table[low.bit_length() - 1]
-                grown = (acc & self._wo[u]) << (1 << u) & ~table[u]
-                if grown:
-                    table[u] |= grown
+                for v in nbrs[u]:
+                    acc |= table[v]
+                grown = table[u] | (acc & self._without[u]) << (1 << u)
+                if grown != table[u]:
+                    table[u] = grown
                     changed = True
-        return table
+        self._tables = table
+        self._union = reduce(or_, table, 0)
 
-    def _level_sets(self, y: int) -> list[int]:
-        """S[j]: bit M set iff some path mask M2 from y is disjoint from M
-        and |M| + |M2| = j.  Bit 0 of S[j] (M empty) says a path from y has
-        j vertices."""
-        if y not in self._levels:
-            sub = _subset_closure(self.n)
-            levels = [0] * (self.n + 1)
-            for size in range(1, self.n + 1):
-                x = self._union[y] & self._sizes[size]
-                avoid = 0  # bit M set iff M avoids some path mask of this size
-                while x:
-                    low = x & -x
-                    x ^= low
-                    avoid |= sub[self.full ^ (low.bit_length() - 1)]
-                for k in range(self.n + 1 - size):
-                    levels[k + size] |= self._sizes[k] & avoid
-            self._levels[y] = levels
-        return self._levels[y]
+    @cached_property
+    def _levels(self) -> list[int]:
+        """levels[j]: bit (n-1-y) 2^n + M set iff some path mask M2 from y is
+        disjoint from M and |M| + |M2| = j.  Bit 0 of block n-1-y (M empty)
+        says a path from y has j vertices."""
+        n = self.n
+        # Reversed, the union holds full ^ M2 in block n-1-y for each path
+        # mask M2 from y; the masks avoiding M2 are the subsets of full ^ M2.
+        rev = int(format(self._union, f"0{n << n}b")[::-1], 2)
+        levels = [0] * (n + 1)
+        for size in range(1, n + 1):
+            avoid = rev & self._sizes[n - size]
+            for v in range(n):
+                avoid |= avoid >> (1 << v) & self._without[v]
+            for k in range(n + 1 - size):
+                levels[k + size] |= self._sizes[k] & avoid
+        return levels
 
-    def _top(self, masks: int, levels: list[int] | tuple[int, ...]) -> int:
-        """The largest j with masks & levels[j] nonzero, or 0 if none."""
-        for j in range(self.n, 0, -1):
+    def _top(self, masks: int, levels: list[int] | tuple[int, ...], floor: int = 0) -> int:
+        """The largest j > floor with masks & levels[j] nonzero, or floor."""
+        for j in range(self.n, floor, -1):
             if masks & levels[j]:
                 return j
-        return 0
+        return floor
 
-    def _join(self, masks: int, y: int) -> int:
-        """max |M1| + |M2| over M1 in masks, M2 a path mask from y, disjoint."""
-        return self._top(masks, self._level_sets(y))
+    def _join(self, masks: int, s: int, y: int, floor: int = 0) -> int:
+        """max |M1| + |M2| over M1 in block s of masks and M2 a path mask from
+        y disjoint from M1, or floor if that is larger.  masks must lie in
+        block s; it is moved to block n-1-y, where the level sets of y are."""
+        shift = (self.n - 1 - y - s) << self.n
+        masks = masks << shift if shift >= 0 else masks >> -shift
+        return self._top(masks, self._levels, floor)
 
     # -- queries ------------------------------------------------------------
 
@@ -187,22 +174,26 @@ class PathEngine:
         return max((self.vpath(v) for v in range(self.n)), default=0)
 
     def vpath(self, v: int) -> int:
-        return self._join(1, v) - 1
+        return self._join(1, 0, v) - 1
 
     def edge_path(self, a: int, b: int, banned: int = 0) -> int:
         """p(ab) in G - banned.  Shifting the masks from a that avoid banned
         by `banned` adds banned to each, so the join keeps b's half off it."""
-        masks = self._union[a] & _subset_closure(self.n)[self.full ^ banned]
-        return self._join(masks << banned, b) - banned.bit_count() - 1
+        masks = self._union & self._blocks[a]
+        for v in range(banned.bit_length()):
+            if banned >> v & 1:
+                masks &= self._without[v]
+        return self._join(masks << banned, a, b) - banned.bit_count() - 1
 
     def edge_cycle(self, a: int, b: int) -> int:
         """The largest path mask of at least 3 vertices from a to b, or 2."""
-        return self._top(self._from[a][b] & ~self._sizes[2], self._sizes) or 2
+        return self._top(self._tables[b] & self._blocks[a], self._sizes, 2)
 
     def vpath_edge(self, v: int, a: int, b: int) -> int:
-        best = max(
-            self._join(self._from[v][x], y) for x, y in ((a, b), (b, a)) if y != v
-        )
+        best = 0
+        for x, y in ((a, b), (b, a)):
+            if y != v:
+                best = self._join(self._tables[x] & self._blocks[v], v, y, best)
         if best == 0:
             raise ValueError(
                 f"no path from {v} through edge ({a}, {b}); input must be connected"
@@ -522,11 +513,30 @@ def weighted_path_ratios(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
     return {e: Fraction(x, den) for e, x in terms.items()}
 
 
+def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
+    """c when every edge weighs c, else None (also on edgeless graphs).
+    Then the heaviest path or cycle through an edge is a longest one."""
+    ws = set(wg.weights.values())
+    return ws.pop() if len(ws) == 1 else None
+
+
 # reports_for_graph runs weighted-mt on every weighting of a graph before fmr
 # reads the same profiles, so up to 64 trials per graph share one DP run each.
 @lru_cache(maxsize=64)
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
+    g = wg.graph
+    c = _uniform_weight(wg)
+    if c is None:
+        values = _heaviest_through_edges(wg)
+    else:
+        eng = _engine(g)
+        values = {e: c * eng.edge_path(*e) for e in g.edges}
+    return EdgeStatProfile("w_p", values)
+
+
+def _heaviest_through_edges(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
+    """w(p(e)) for every edge, by the subset DP rooted at every vertex."""
     g = wg.graph
     d, nbrs = _scaled(wg)
     f = _heaviest(nbrs, range(g.n))
@@ -549,7 +559,7 @@ def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
                         if val + x > best[a][b]:
                             best[a][b] = val + x
                 row[a] = cont
-    return EdgeStatProfile("w_p", {(a, b): Fraction(best[a][b], d) for a, b in g.edges})
+    return {(a, b): Fraction(best[a][b], d) for a, b in g.edges}
 
 
 def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fraction:
@@ -557,11 +567,20 @@ def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fract
 
 
 def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
-    """Largest total weight of a cycle, or None if the graph has no cycle.
+    """Largest total weight of a cycle, or None if the graph has no cycle."""
+    c = _uniform_weight(wg)
+    if c is None:
+        return _heaviest_cycle(wg)
+    g = wg.graph
+    eng = _engine(g)
+    circumference = max(eng.edge_cycle(*e) for e in g.edges)
+    return c * circumference if circumference > 2 else None
 
-    For each choice of the cycle's least vertex r, grow paths from r through
-    vertices > r and close those of at least 3 vertices back to r.
-    """
+
+def _heaviest_cycle(wg: WeightedGraph) -> Fraction | None:
+    """The heaviest cycle by the subset DP.  For each choice of the cycle's
+    least vertex r, grow paths from r through vertices > r and close those
+    of at least 3 vertices back to r."""
     d, nbrs = _scaled(wg)
     best = -1
     for r in range(len(nbrs)):

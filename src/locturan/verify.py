@@ -489,6 +489,8 @@ class CorpusConfig:
             raise ValueError(f"repeated theorem id in {self.theorems}")
         if len(set(self.s_values)) != len(self.s_values):
             raise ValueError(f"repeated clique order in {self.s_values}")
+        if self.roots != "all" and int(self.roots) < 0:
+            raise ValueError(f"root must be 'all' or >= 0, got {self.roots}")
 
 
 def weightings(
@@ -544,8 +546,10 @@ def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
             elif kind == ROOTED:
                 roots = range(g.n) if cfg.roots == "all" else [int(cfg.roots)]
                 for v in roots:
-                    if not 0 <= v < g.n:
-                        out.append(_skipped(thm, f"root {v} out of range for n={g.n}"))
+                    if v >= g.n:
+                        out.append(
+                            _skipped(thm, f"root {v} out of range for n={g.n}", root=v)
+                        )
                         continue
                     where = f", root {v}"
                     out.append(fn(g, v))

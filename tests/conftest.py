@@ -8,10 +8,16 @@ so agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+
+import pytest
 
 from locturan.graphs import Graph, WeightedGraph
 
@@ -412,3 +418,53 @@ def naive_join_clique_empty(g: Graph, mu: int) -> bool:
         and not any(u not in hub and v not in hub for u, v in g.edges)
         for hub in combinations(range(g.n), mu)
     )
+
+
+# ---------------------------------------------------------------------------
+# the n <= 7 proof run, shared by the golden digest and acceptance criterion 1
+
+
+PROOF_N7_ARGV = ("verify", "--theorem", "all", "--n", "1-7", "--format", "json")
+
+
+class DigestSink:
+    """A text stream that keeps only the SHA-256 of what is written and its
+    last complete line."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.last_line = ""
+        self._partial = ""
+
+    def write(self, text):
+        self.hash.update(text.encode("ascii"))
+        *done, self._partial = (self._partial + text).split("\n")
+        if done:
+            self.last_line = done[-1]
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@dataclass(frozen=True)
+class ProofRun:
+    code: int
+    sha256: str
+    last_line: str
+
+
+@pytest.fixture(scope="session")
+def proof_n7_json() -> ProofRun:
+    """`verify --theorem all --n 1-7 --format json`, run once per session:
+    its exit code, the SHA-256 of its stdout, and its last (aggregate) line."""
+    from locturan.cli import main
+
+    sink = DigestSink()
+    old = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(), sink
+    try:
+        code = main(list(PROOF_N7_ARGV))
+    finally:
+        sys.stdin, sys.stdout = old
+    return ProofRun(code, sink.hash.hexdigest(), sink.last_line)

@@ -5,7 +5,7 @@ corpora are complete isomorph-free enumerations, so a pass is a proof for
 the covered orders, not a sample.
 """
 
-import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    DigestSink,
     frozen_corpus,
     independent_graph6_decode,
     naive_d_set,
@@ -36,6 +37,7 @@ from locturan.graphs import (
     write_graph6,
 )
 from locturan.matching import gallai_edmonds, k_closure
+from locturan.rationals import parse_rational
 from locturan.stats import (
     cycle_profile,
     matching_number,
@@ -66,32 +68,19 @@ UNWEIGHTED = (
 )
 
 
-def test_criterion_1_exhaustive_nonviolation_through_n7():
+def test_criterion_1_exhaustive_nonviolation_through_n7(proof_n7_json):
     """Every unweighted bound has slack >= 0 on every graph with n <= 7,
-    every root for the rooted bounds, and clique orders 2, 3, 4."""
-    result = verify_corpus(
-        UNWEIGHTED, ns=range(1, 8), roots="all", s_values=(2, 3, 4)
-    )
-    assert result.ok, result.failures[:5]
+    every root for the rooted bounds, and clique orders 2, 3, 4, as the
+    aggregate line of `verify --theorem all --n 1-7 --format json` says."""
+    assert proof_n7_json.code == 0
+    result = json.loads(proof_n7_json.last_line)["aggregate"]
+    assert result["ok"], result["failures"][:5]
     for thm in UNWEIGHTED:
-        summary = result.summaries[thm]
-        assert summary.violated == 0, thm
-        assert summary.checked > 0, thm
-        assert summary.min_slack is None or summary.min_slack >= 0, thm
-
-
-class _Sha256Sink:
-    """A text stream that keeps only the SHA-256 of what is written."""
-
-    def __init__(self):
-        self.hash = hashlib.sha256()
-
-    def write(self, text):
-        self.hash.update(text.encode("ascii"))
-        return len(text)
-
-    def flush(self):
-        pass
+        summary = result["summaries"][thm]
+        assert summary["violated"] == 0, thm
+        assert summary["checked"] > 0, thm
+        min_slack = summary["min_slack"]
+        assert min_slack is None or parse_rational(min_slack) >= 0, thm
 
 
 @pytest.mark.n8
@@ -99,7 +88,7 @@ def test_exhaustive_proof_through_n8(monkeypatch):
     """Every registered theorem on every class with n <= 8 (about 100 MB of
     JSON reports, pinned by digest): the n <= 7 gate of criterion 1 and the
     golden digests, one order further."""
-    sink = _Sha256Sink()
+    sink = DigestSink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["verify", "--theorem", "all", "--n", "1-8", "--format", "json"]) == 0
     assert sink.hash.hexdigest() == (

@@ -7,6 +7,7 @@ installed, it is run as well.
 """
 
 import ast
+import csv
 import io
 import json
 import os
@@ -371,6 +372,31 @@ def test_verify_single_root_and_bad_root():
         ["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", "x"]
     )
     assert code == 2 and "bad --roots" in err
+
+
+@pytest.mark.parametrize("root", ["-1", "-7"])
+def test_verify_rejects_negative_root(root):
+    code, out, err = run_cli(
+        ["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", root]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --roots must be 'all' or >= 0, got {root}\n"
+
+
+def test_verify_out_of_range_root_names_the_root():
+    """A root beyond n is skipped with the root in its row, so the case can
+    be replayed from the CSV."""
+    code, out, _ = run_cli(
+        ["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", "5",
+         "--format", "csv"]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["status"] == "hypothesis-not-met"
+        assert row["root"] == "5"
+        assert row["reason"] == "root 5 out of range for n=3"
 
 
 def test_verify_rejects_over_cap_graph():

@@ -74,6 +74,8 @@ from locturan.stats import (
     weighted_path_profile,
     weighted_path_ratios,
     _engine,
+    _heaviest_cycle,
+    _heaviest_through_edges,
 )
 
 
@@ -480,17 +482,49 @@ def test_terminus_property_n6():
 
 
 def test_weighted_unit_reduction():
-    # with n <= 5, and on a dense n = 12 graph (38 edges) whose maximal
-    # paths are too many to list
-    for g in [*frozen_corpus(5, connected_only=True), parse_graph6("KH|^LmDN@dn]")]:
-        wg = WeightedGraph.unit(g)
+    """Under a uniform weighting c, the heaviest path through e weighs
+    c p(e) and the heaviest cycle c times the circumference.  The public
+    weighted statistics read those from the path engine, so the subset DP
+    that serves every other weighting is run here directly: on unit, 3/2
+    and all-zero weights, over every class with n <= 7 and a dense n = 12
+    graph (38 edges) whose maximal paths are too many to list."""
+    for g in [*frozen_corpus(7), parse_graph6("KH|^LmDN@dn]")]:
         pp = path_profile(g).values
-        wp = weighted_path_profile(wg).values
-        assert max_weight_path(wg) == longest_path(g)
         circumference = max(cycle_profile(g).values.values(), default=2)
-        assert max_weight_cycle(wg) == (circumference if circumference > 2 else None)
-        for e in g.edges:
-            assert wp[e] == pp[e]
+        for c in (Fraction(1), Fraction(3, 2), Fraction(0)):
+            wg = WeightedGraph(g, {e: c for e in g.edges})
+            expected = {e: c * pp[e] for e in g.edges}
+            assert _heaviest_through_edges(wg) == expected
+            assert weighted_path_profile(wg).values == expected
+            cycle = c * circumference if circumference > 2 else None
+            assert _heaviest_cycle(wg) == cycle
+            assert max_weight_cycle(wg) == cycle
+        assert max_weight_path(WeightedGraph.unit(g)) == longest_path(g)
+
+
+def test_uniform_weightings_run_no_subset_dp(monkeypatch):
+    """Equal weights are read from the path engine; any other weighting
+    runs the subset DP."""
+    import locturan.stats as stats
+
+    runs = []
+    real = stats._heaviest
+
+    def counted(nbrs, roots):
+        runs.append(len(nbrs))
+        return real(nbrs, roots)
+
+    monkeypatch.setattr(stats, "_heaviest", counted)
+    weighted_path_profile.cache_clear()
+    g = complete_graph(5)
+    for c in (1, Fraction(3, 2), 0):
+        wg = WeightedGraph(g, {e: c for e in g.edges})
+        assert set(weighted_path_profile(wg).values.values()) == {4 * c}
+        assert max_weight_cycle(wg) == 5 * c
+    assert runs == []
+    mixed = WeightedGraph(g, {e: 2 if e == (0, 1) else 1 for e in g.edges})
+    assert max_weight_path(mixed) == 5 and max_weight_cycle(mixed) == 6
+    assert runs[0] == 5  # the all-roots profile, then one run per cycle root
 
 
 def test_weighted_path_ratios_give_zero_on_zero_weight_edges():

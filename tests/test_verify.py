@@ -636,6 +636,16 @@ def test_corpus_single_root_out_of_range_becomes_skip():
     summary = result.summaries["local-bbrs"]
     assert result.ok
     assert summary.hypothesis_not_met >= 2  # both n=2 graphs lack vertex 2
+    reports = reports_for_graph(path_graph(2), CorpusConfig(("local-bbrs",), roots=2))
+    assert [(r.status, r.root) for r in reports] == [("hypothesis-not-met", 2)]
+
+
+def test_corpus_rejects_negative_root():
+    for roots in (-1, "-3"):
+        with pytest.raises(ValueError, match="root must be 'all' or >= 0"):
+            CorpusConfig(("local-bbrs",), roots=roots)
+        with pytest.raises(ValueError, match="root must be 'all' or >= 0"):
+            verify_corpus(("local-bbrs",), ns=(3,), roots=roots)
 
 
 def test_corpus_delta_skips_when_no_clique_of_that_order():
