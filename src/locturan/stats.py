@@ -525,14 +525,11 @@ def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
 @lru_cache(maxsize=64)
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
-    g = wg.graph
     c = _uniform_weight(wg)
     if c is None:
-        values = _heaviest_through_edges(wg)
-    else:
-        eng = _engine(g)
-        values = {e: c * eng.edge_path(*e) for e in g.edges}
-    return EdgeStatProfile("w_p", values)
+        return EdgeStatProfile("w_p", _heaviest_through_edges(wg))
+    lengths = path_profile(wg.graph).values
+    return EdgeStatProfile("w_p", {e: c * p for e, p in lengths.items()})
 
 
 def _heaviest_through_edges(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
@@ -571,9 +568,7 @@ def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:
     c = _uniform_weight(wg)
     if c is None:
         return _heaviest_cycle(wg)
-    g = wg.graph
-    eng = _engine(g)
-    circumference = max(eng.edge_cycle(*e) for e in g.edges)
+    circumference = max(cycle_profile(wg.graph).values.values())
     return c * circumference if circumference > 2 else None
 
 
