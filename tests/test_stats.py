@@ -381,6 +381,21 @@ def test_path_stats_digest_n7():
     )
 
 
+def test_clique_stats_digest_n7():
+    """Every class with n <= 7 at every clique order s = 1..n, pinned per
+    clique: the listing, p(S), and s(K) with free and with clique centers."""
+    h = hashlib.sha256()
+    for g in frozen_corpus(7):
+        for s in range(1, g.n + 1):
+            rows = [enumerate_cliques(g, s), clique_path_profile(g, s),
+                    clique_star_profile(g, s),
+                    clique_star_profile(g, s, require_center_in_clique=True)]
+            h.update(f"{write_graph6(g)} {s} {rows!r}\n".encode("ascii"))
+    assert h.hexdigest() == (
+        "fabc2762202fd6f594c1ea744a4c033e5cf7e56fa467f513613e7b820adc0119"
+    )
+
+
 def test_path_stats_digest_n9_to_n12():
     """Seeded G(n, p) graphs with 9 <= n <= 12, pinned per vertex and per
     edge: ell(v), p(e), c(e) and, on the connected ones, p_v(e) at root 0.
