@@ -53,6 +53,7 @@ from .stats import (
 from .verify import (
     ALL_THEOREMS,
     CSV_FIELDS,
+    ROOTED_THEOREMS,
     is_counterexample,
     report_csv_row,
     verify_corpus,
@@ -244,7 +245,7 @@ def _stat_records(
         base = {"graph6": write_graph6(g), "stat": args.stat}
         if args.stat in ("p_S", "s_K"):
             prof_fn = clique_path_profile if args.stat == "p_S" else clique_star_profile
-            for clique, val in sorted(prof_fn(g, args.s).values.items()):
+            for clique, val in prof_fn(g, args.s).values.items():
                 item = "-".join(str(v) for v in clique)
                 yield base | {"item": item, "s": args.s, "value": str(val)}
             continue
@@ -329,6 +330,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         corpus = dict(graphs=_read_graphs(args.input, capped=True))
     else:
         corpus = dict(ns=_parse_n_spec(args.n), connected_only=args.connected)
+    # a root past every graph's last vertex would make every rooted report a skip
+    top = max(corpus.get("ns") or [g.n for g in corpus["graphs"]], default=0)
+    if roots != "all" and roots >= top and set(ROOTED_THEOREMS) & set(theorems):
+        raise UsageError(f"--roots {roots} fits no graph; the largest order is {top}")
 
     out = _open_output(args.output)
     writer = csv.writer(out, lineterminator="\n") if args.format == "csv" else None

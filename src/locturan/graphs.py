@@ -383,6 +383,11 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def is_clique(g: Graph, mask: int) -> bool:
+    """Whether the vertices of a vertex mask are pairwise adjacent."""
+    return all((g.adj[u] | 1 << u) & mask == mask for u in mask_vertices(mask))
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     return [mask_vertices(m) for m in component_masks(g)]
 

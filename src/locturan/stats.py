@@ -34,6 +34,11 @@ heaviest path and each w(e)/w(p(e)) as an integer over one denominator.
 Rooted at a cycle's least vertex r, on the vertices >= r, it gives the
 heaviest cycle.  Each result is divided by d once.
 
+The s-vertex cliques are listed once per (graph, s) and cached for the few
+orders a graph's clique verifiers ask for; clique_count and both clique
+profiles read that listing.  p(S) takes one engine join per pair of S, and
+s(K) the largest degree over K, or over K and its common neighbours.
+
 Everything returns ints or Fractions; no floats anywhere.
 """
 
@@ -44,9 +49,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
-from operator import or_
+from operator import and_, or_
 
-from .graphs import Graph, WeightedGraph, is_connected
+from .graphs import Graph, WeightedGraph, is_clique, is_connected, mask_vertices
 
 TABLE_CAP = 12
 
@@ -343,39 +348,34 @@ def matching_profile(g: Graph) -> EdgeStatProfile:
 # cliques
 
 
-def enumerate_cliques(g: Graph, s: int) -> list[tuple[int, ...]]:
-    """All cliques on exactly s vertices, as sorted tuples in lex order."""
+# The clique verifiers of one graph ask for orders s - 1, s and s + 1 of each
+# configured s, so a few entries let them share one listing per order.
+@lru_cache(maxsize=16)
+def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
     if s < 1:
         raise ValueError("clique order must be >= 1")
-    if s == 1:
-        return [(v,) for v in range(g.n)]
-    out: list[tuple[int, ...]] = []
-    adj = g.adj
+    # Each clique comes with its common neighbours above its last vertex;
+    # growing by those in ascending order keeps every level in lex order.
+    above = [g.adj[v] & -(2 << v) for v in range(g.n)]
+    level = [((v,), above[v]) for v in range(g.n)]
+    for _ in range(s - 1):
+        level = [(k + (v,), common & above[v])
+                 for k, common in level for v in mask_vertices(common)]
+    return tuple(k for k, _ in level)
 
-    def extend(members: list[int], common: int) -> None:
-        if len(members) == s:
-            out.append(tuple(members))
-            return
-        c = common
-        while c:
-            low = c & -c
-            c ^= low
-            v = low.bit_length() - 1
-            members.append(v)
-            extend(members, common & adj[v] & ~((1 << (v + 1)) - 1))
-            members.pop()
 
-    for v in range(g.n):
-        extend([v], adj[v] & ~((1 << (v + 1)) - 1))
-    return out
+def enumerate_cliques(g: Graph, s: int) -> list[tuple[int, ...]]:
+    """All cliques on exactly s vertices, as sorted tuples in lex order."""
+    return list(_cliques(g, s))
 
 
 def clique_count(g: Graph, s: int) -> int:
     """n_s(G): number of s-vertex cliques."""
-    return len(enumerate_cliques(g, s))
+    return len(_cliques(g, s))
 
 
-def _check_clique(g: Graph, vertices) -> tuple[int, ...]:
+def _check_clique(g: Graph, vertices) -> tuple[tuple[int, ...], int]:
+    """The clique as a sorted tuple and as a vertex mask."""
     vs = tuple(sorted(vertices))
     if not vs:
         raise ValueError("clique must be nonempty")
@@ -383,27 +383,23 @@ def _check_clique(g: Graph, vertices) -> tuple[int, ...]:
         raise ValueError("clique has repeated vertices")
     if not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("clique vertices out of range")
-    for a, b in combinations(vs, 2):
-        if not g.has_edge(a, b):
-            raise ValueError(f"vertices {vs} are not a clique: ({a}, {b}) missing")
-    return vs
+    kmask = sum(1 << v for v in vs)
+    if not is_clique(g, kmask):
+        raise ValueError(f"vertices {vs} are not a clique")
+    return vs, kmask
 
 
 def longest_path_with_consecutive_clique(g: Graph, clique) -> int:
     """p(S): edges of a longest path whose vertex sequence contains all of S
     as one consecutive block (any internal order).  At least len(S) - 1."""
-    vs = _check_clique(g, clique)
+    vs, kmask = _check_clique(g, clique)
+    eng = _engine(g)
     s = len(vs)
     if s == 1:
-        v = vs[0]
-        if g.degree(v) == 0:
-            return 0
-        eng = _engine(g)
-        return max(eng.edge_path(*g.check_edge((v, w))) for w in g.neighbors(v))
+        return max((eng.edge_path(vs[0], w) for w in mask_vertices(g.adj[vs[0]])),
+                   default=0)
     # S is a block x ... y: a path through xy in G - (S - x - y), with the
     # other s - 2 vertices of S put between x and y.
-    kmask = sum(1 << v for v in vs)
-    eng = _engine(g)
     return max(
         eng.edge_path(x, y, kmask ^ 1 << x ^ 1 << y) + s - 2
         for x, y in combinations(vs, 2)
@@ -416,18 +412,10 @@ def max_star_over_clique(g: Graph, clique, require_center_in_clique: bool = Fals
     Centers may sit inside K, or outside K when adjacent to all of K; the
     strict variant restricts centers to K.
     """
-    vs = _check_clique(g, clique)
-    kmask = 0
-    for v in vs:
-        kmask |= 1 << v
-    best = max(g.degree(c) for c in vs)
+    vs, centers = _check_clique(g, clique)
     if not require_center_in_clique:
-        for c in range(g.n):
-            if kmask >> c & 1:
-                continue
-            if g.adj[c] & kmask == kmask:
-                best = max(best, g.degree(c))
-    return best
+        centers |= reduce(and_, (g.adj[v] for v in vs))
+    return max(g.degree(c) for c in mask_vertices(centers))
 
 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:

@@ -42,6 +42,9 @@ witness, censuses equality cases, cross-checks equality against
 family_match in both directions wherever it is set, and hard-fails on any
 negative slack or family mismatch.
 
+gt-path and gt-star sum the clique profiles of stats, which read one cached
+clique listing per graph and order, shared with the counts that delta takes.
+
 A verifier computes only its bound.  The driver, reports_for_graph, sets
 graph6 on every report and the weighting label on weighted ones; a verifier
 called directly leaves graph6 as "".
@@ -61,6 +64,7 @@ from .graphs import (
     WeightedGraph,
     component_masks,
     enumerate_graphs,
+    is_clique,
     is_connected,
     is_two_edge_connected,
     mask_vertices,
@@ -70,14 +74,13 @@ from .graphs import (
 from .rationals import format_rational
 from .stats import (
     clique_count,
+    clique_path_profile,
+    clique_star_profile,
     cycle_profile,
-    enumerate_cliques,
     longest_path,
-    longest_path_with_consecutive_clique,
     longest_vpath,
     matching_number,
     matching_profile,
-    max_star_over_clique,
     max_weight_cycle,
     max_weight_path,
     path_profile,
@@ -170,12 +173,8 @@ def is_complete_graph(g: Graph) -> bool:
     return g.m == comb(g.n, 2)
 
 
-def _is_clique(g: Graph, mask: int) -> bool:
-    return all((g.adj[u] | 1 << u) & mask == mask for u in mask_vertices(mask))
-
-
 def is_disjoint_union_of_cliques(g: Graph) -> bool:
-    return all(_is_clique(g, comp) for comp in component_masks(g))
+    return all(is_clique(g, comp) for comp in component_masks(g))
 
 
 def is_cliques_sharing_vertex(g: Graph, v: int) -> bool:
@@ -186,7 +185,7 @@ def is_cliques_sharing_vertex(g: Graph, v: int) -> bool:
     to v, and cross-clique edges cannot exist between components.
     """
     rest = ((1 << g.n) - 1) ^ (1 << v)
-    return all(_is_clique(g, comp | 1 << v) for comp in component_masks(g, rest))
+    return all(is_clique(g, comp | 1 << v) for comp in component_masks(g, rest))
 
 
 def is_clique_union_isolated(g: Graph, r: int) -> bool:
@@ -377,10 +376,7 @@ def verify_ning_vpath(g: Graph, v: int) -> VerificationReport:
 def verify_gt_path(g: Graph, s: int) -> VerificationReport:
     if s < 2:
         raise ValueError("clique order s must be >= 2")
-    lhs = _recip_sum(
-        longest_path_with_consecutive_clique(g, clique) - s + 2
-        for clique in enumerate_cliques(g, s)
-    )
+    lhs = _recip_sum(p - s + 2 for p in clique_path_profile(g, s).values.values())
     rhs = Fraction(clique_count(g, s - 1), s)
     return _bound("gt-path", lhs, rhs, s=s)
 
@@ -388,15 +384,12 @@ def verify_gt_path(g: Graph, s: int) -> VerificationReport:
 def verify_gt_star(g: Graph, s: int) -> VerificationReport:
     if s < 2:
         raise ValueError("clique order s must be >= 2")
-    centered, free = [], []
-    for clique in enumerate_cliques(g, s):
-        c = max_star_over_clique(g, clique, require_center_in_clique=True)
-        f = max_star_over_clique(g, clique)
-        if f < c:
-            raise RuntimeError("free-center star smaller than clique-centered star")
-        centered.append(c - s + 2)
-        free.append(f - s + 2)
-    lhs, free_lhs = _recip_sum(centered), _recip_sum(free)
+    centered = clique_star_profile(g, s, require_center_in_clique=True).values
+    free = clique_star_profile(g, s).values
+    if any(free[k] < c for k, c in centered.items()):
+        raise RuntimeError("free-center star smaller than clique-centered star")
+    lhs = _recip_sum(c - s + 2 for c in centered.values())
+    free_lhs = _recip_sum(f - s + 2 for f in free.values())
     rhs = Fraction(clique_count(g, s - 1), s)
     rep = _bound("gt-star", lhs, rhs, s=s)
     rep.witness = {
@@ -464,6 +457,7 @@ _REGISTRY: tuple[tuple[str, str, Callable[..., VerificationReport]], ...] = (
 )
 
 ALL_THEOREMS: tuple[str, ...] = tuple(thm for thm, _, _ in _REGISTRY)
+ROOTED_THEOREMS = tuple(thm for thm, kind, _ in _REGISTRY if kind == ROOTED)
 _KIND: dict[str, str] = {thm: kind for thm, kind, _ in _REGISTRY}
 # The driver calls each verifier through this dict, so that an entry can be
 # rebound in place (perfbench/trace_job.py wraps each one to time it).
@@ -491,6 +485,8 @@ class CorpusConfig:
             raise ValueError(f"repeated clique order in {self.s_values}")
         if self.roots != "all" and int(self.roots) < 0:
             raise ValueError(f"root must be 'all' or >= 0, got {self.roots}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 def weightings(

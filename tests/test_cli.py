@@ -384,19 +384,50 @@ def test_verify_rejects_negative_root(root):
 
 
 def test_verify_out_of_range_root_names_the_root():
-    """A root beyond n is skipped with the root in its row, so the case can
-    be replayed from the CSV."""
+    """A root beyond a smaller graph's last vertex is skipped with the root
+    in its row, so the case can be replayed from the CSV."""
     code, out, _ = run_cli(
-        ["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", "5",
+        ["verify", "--theorem", "local-bbrs", "--n", "1-3", "--roots", "2",
          "--format", "csv"]
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 4
-    for row in rows:
-        assert row["status"] == "hypothesis-not-met"
-        assert row["root"] == "5"
-        assert row["reason"] == "root 5 out of range for n=3"
+    assert len(rows) == 7 and all(row["root"] == "2" for row in rows)
+    skipped = [(row["graph6"], row["reason"]) for row in rows
+               if row["reason"].startswith("root")]
+    assert skipped == [
+        ("@", "root 2 out of range for n=1"),
+        ("A?", "root 2 out of range for n=2"),
+        ("A_", "root 2 out of range for n=2"),
+    ]
+
+
+@pytest.mark.parametrize("flags, top", [
+    (["--n", "1-3", "--roots", "5"], 3),
+    (["--n", "1-3", "--roots", "3"], 3),
+    (["--n", "2-4", "--connected", "--roots", "4"], 4),
+    (["--input", "{g6}", "--roots", "4"], 4),
+    (["--weights", "file", "--weights-file", "{wg}", "--roots", "3"], 3),
+], ids=["n-past", "n-at", "connected", "input", "weights-file"])
+def test_verify_root_that_fits_no_graph_is_a_usage_error(tmp_path, flags, top):
+    """A rooted run whose root is past the largest order would check
+    nothing, so it stops before any output."""
+    g6 = tmp_path / "two.g6"
+    g6.write_text("Bw\nCs\n")
+    wg = tmp_path / "tri.wg"
+    wg.write_text(TRI_WEIGHTS)
+    argv = ["verify", "--theorem", "local-bbrs,ning-vpath"] + [
+        f.format(g6=g6, wg=wg) for f in flags
+    ]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    root = flags[-1]
+    assert err == f"error: --roots {root} fits no graph; the largest order is {top}\n"
+
+
+def test_verify_root_is_checked_only_for_rooted_theorems():
+    code, out, _ = run_cli(["verify", "--theorem", "mt", "--n", "1-3", "--roots", "5"])
+    assert code == 0 and out.endswith("PASS\n")
 
 
 def test_verify_rejects_over_cap_graph():

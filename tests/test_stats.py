@@ -73,10 +73,12 @@ from locturan.stats import (
     vpath_profile,
     weighted_path_profile,
     weighted_path_ratios,
+    _cliques,
     _engine,
     _heaviest_cycle,
     _heaviest_through_edges,
 )
+from locturan.verify import CorpusConfig, reports_for_graph
 
 
 def bowtie() -> Graph:
@@ -283,6 +285,18 @@ def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
     clique_path_profile(g, 3)
     vpath_profile(g, 0)
     assert built == [g]
+
+
+def test_clique_verifiers_share_one_listing_per_order():
+    """gt-path, gt-star and delta at s = 2, 3, 4 ask for orders 1 to 5; each
+    (graph, order) listing is built once."""
+    g = join_graphs(complete_graph(2), cycle_graph(5))
+    cfg = CorpusConfig(("gt-path", "gt-star", "delta"), s_values=(2, 3, 4))
+    _cliques.cache_clear()
+    reports = reports_for_graph(g, cfg)
+    assert [r.status for r in reports] == ["ok"] * 9
+    info = _cliques.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
 
 
 def test_matching_numbers_match_naive_n5():

@@ -648,6 +648,16 @@ def test_corpus_rejects_negative_root():
             verify_corpus(("local-bbrs",), ns=(3,), roots=roots)
 
 
+def test_corpus_rejects_trials_below_one():
+    """Zero trials would give every weighted theorem nothing to check."""
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            CorpusConfig(("weighted-mt", "fmr"), weights="random", seed=1, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_corpus(["weighted-mt", "fmr"], [3], weights="random", seed=1,
+                          trials=trials)
+
+
 def test_corpus_delta_skips_when_no_clique_of_that_order():
     cfg = CorpusConfig(theorems=("delta",), s_values=(3,))
     reports = reports_for_graph(path_graph(3), cfg)
