@@ -429,6 +429,26 @@ def test_path_stats_digest_n9_to_n12():
     )
 
 
+def test_vpath_profile_digest_every_root_n8_to_n12():
+    """p_v(e) at every root of the connected ones among 40 seeded G(8, p)
+    graphs and the graphs of test_path_stats_digest_n9_to_n12, which pins
+    only root 0 above n = 7."""
+    rng8 = random.Random(8)
+    graphs = [random_graph(rng8, 8, p)
+              for p in (0.3, 0.45, 0.6, 0.75) for _ in range(10)]
+    rng = random.Random(53)
+    graphs += [random_graph(rng, n, p)
+               for n in range(9, 13) for p in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    h = hashlib.sha256()
+    for g in graphs:
+        if is_connected(g):
+            rows = [vpath_profile(g, v) for v in range(g.n)]
+            h.update(f"{write_graph6(g)} {rows!r}\n".encode("ascii"))
+    assert h.hexdigest() == (
+        "cfd8939ce2f1d0e122979b204e7179085bed624e723e64f1f943833617ee1ef8"
+    )
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 
