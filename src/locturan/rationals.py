@@ -2,7 +2,9 @@
 
 Every numeric quantity that feeds a verdict is an int or a Fraction; floats
 never enter a verification path.  Rationals are rendered "p/q", with the
-denominator suppressed when it is 1.
+denominator suppressed when it is 1.  as_fraction returns a Fraction as it
+is and converts anything else, so the reports, which render two or three
+Fractions each, never rebuild one.
 """
 
 from __future__ import annotations
@@ -10,8 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def as_fraction(x: Fraction | int) -> Fraction:
+    """x as a Fraction; Fraction(x) would copy a Fraction, through the
+    numbers.Rational check, so a Fraction is returned as it is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_rational(x: Fraction | int) -> str:
-    x = Fraction(x)
+    x = as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

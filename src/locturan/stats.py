@@ -16,9 +16,12 @@ path mask M2 from y, n shift-OR steps close each path size under subsets,
 and levels[j] holds S_y[j] in block n-1-y.  A query moves its masks into
 that block.  p(ab) joins the paths from a with b, p_v(ab) the paths from v
 that end at one end of ab with the other end, and ell(v) the empty mask with
-v; p(S) first shifts the masks that avoid the rest of S onto it.  c(ab) is
-the largest path mask from a to b with at least 3 vertices, or 2.  An
-engine is n tables, their OR and n + 1 level integers; no per-edge,
+v; p(S) first shifts the masks that avoid the rest of S onto it.  No path
+from v has more than ell(v) + 1 vertices, so the p_v(e) of a root come from
+one pass over its edges that scans the levels from that cap down and joins
+the second orientation of an edge only if the first falls short of it.
+c(ab) is the largest path mask from a to b with at least 3 vertices, or 2.
+An engine is n tables, their OR and n + 1 level integers; no per-edge,
 per-root or per-clique tables are built.
 
 When every edge weighs the same c, the heaviest path through e weighs
@@ -37,7 +40,9 @@ heaviest cycle.  Each result is divided by d once.
 The s-vertex cliques are listed once per (graph, s) and cached for the few
 orders a graph's clique verifiers ask for; clique_count and both clique
 profiles read that listing.  p(S) takes one engine join per pair of S, and
-s(K) the largest degree over K, or over K and its common neighbours.
+s(K) the largest degree over K, or over K and its common neighbours.  The
+public per-clique functions validate their clique; clique_star_profile
+reads the listed cliques through the unvalidated core of s(K).
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -194,16 +199,33 @@ class PathEngine:
         """The largest path mask of at least 3 vertices from a to b, or 2."""
         return self._top(self._tables[b] & self._blocks[a], self._sizes, 2)
 
-    def vpath_edge(self, v: int, a: int, b: int) -> int:
-        best = 0
-        for x, y in ((a, b), (b, a)):
-            if y != v:
-                best = self._join(self._tables[x] & self._blocks[v], v, y, best)
-        if best == 0:
-            raise ValueError(
-                f"no path from {v} through edge ({a}, {b}); input must be connected"
-            )
-        return best - 1
+    def vpath_edges(self, v: int, edges) -> list[int]:
+        """p_v(ab) for each edge ab of edges, in order: one join of the paths
+        from v ending at x with the paths from y, for xy = ab and ba.  No
+        path from v has more than cap = ell(v) + 1 vertices, so each scan
+        starts at cap, and once ab reaches cap, ba is not joined.  The scan
+        is _join's, inlined: a call per join costs about a third more."""
+        n, levels = self.n, self._levels
+        cap = self.vpath(v) + 1
+        block = self._blocks[v]
+        ends = [t & block for t in self._tables]
+        out = []
+        for a, b in edges:
+            best = 0
+            for x, y in ((a, b), (b, a)):
+                if y != v and best < cap:
+                    shift = (n - 1 - y - v) << n
+                    masks = ends[x] << shift if shift >= 0 else ends[x] >> -shift
+                    for j in range(cap, best, -1):
+                        if masks & levels[j]:
+                            best = j
+                            break
+            if best == 0:
+                raise ValueError(
+                    f"no path from {v} through edge ({a}, {b}); input must be connected"
+                )
+            out.append(best - 1)
+        return out
 
 
 @lru_cache(maxsize=512)
@@ -245,10 +267,11 @@ def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         raise ValueError("p_v(e) requires a connected graph")
-    a, b = g.check_edge(e)
-    return _engine(g).vpath_edge(v, a, b)
+    return _engine(g).vpath_edges(v, [g.check_edge(e)])[0]
 
 
+# mt and the unit weighted-mt of one graph read one profile.
+@lru_cache(maxsize=4)
 def path_profile(g: Graph) -> EdgeStatProfile:
     eng = _engine(g)
     return EdgeStatProfile("p", {e: eng.edge_path(*e) for e in g.edges})
@@ -264,8 +287,8 @@ def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         raise ValueError("p_v(e) requires a connected graph")
-    eng = _engine(g)
-    return EdgeStatProfile("p_v", {e: eng.vpath_edge(v, *e) for e in g.edges}, root=v)
+    values = dict(zip(g.edges, _engine(g).vpath_edges(v, g.edges)))
+    return EdgeStatProfile("p_v", values, root=v)
 
 
 def star_size_through_edge(g: Graph, e: tuple[int, int]) -> int:
@@ -412,10 +435,15 @@ def max_star_over_clique(g: Graph, clique, require_center_in_clique: bool = Fals
     Centers may sit inside K, or outside K when adjacent to all of K; the
     strict variant restricts centers to K.
     """
-    vs, centers = _check_clique(g, clique)
-    if not require_center_in_clique:
-        centers |= reduce(and_, (g.adj[v] for v in vs))
-    return max(g.degree(c) for c in mask_vertices(centers))
+    vs, _ = _check_clique(g, clique)
+    return _clique_star(g, vs, require_center_in_clique)
+
+
+def _clique_star(g: Graph, vs: tuple[int, ...], require_center_in_clique: bool) -> int:
+    """s(K) for a clique K given as its vertices: the largest degree over K,
+    or over K and the common neighbours of K."""
+    common = 0 if require_center_in_clique else reduce(and_, (g.adj[v] for v in vs))
+    return max(g.degree(c) for c in (*vs, *mask_vertices(common)))
 
 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
@@ -428,10 +456,7 @@ def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
 def clique_star_profile(
     g: Graph, s: int, require_center_in_clique: bool = False
 ) -> CliqueStatProfile:
-    values = {
-        k: max_star_over_clique(g, k, require_center_in_clique)
-        for k in enumerate_cliques(g, s)
-    }
+    values = {k: _clique_star(g, k, require_center_in_clique) for k in _cliques(g, s)}
     return CliqueStatProfile("s_K", s, values)
 
 

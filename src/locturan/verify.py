@@ -71,7 +71,7 @@ from .graphs import (
     seeded_weights,
     write_graph6,
 )
-from .rationals import format_rational
+from .rationals import as_fraction, format_rational
 from .stats import (
     clique_count,
     clique_path_profile,
@@ -151,7 +151,7 @@ def report_csv_row(rep: VerificationReport) -> list[str]:
 
 def _bound(theorem: str, lhs: Fraction, rhs: Fraction, **kw) -> VerificationReport:
     status = OK if lhs <= rhs else VIOLATED
-    return VerificationReport(theorem, "", status, Fraction(lhs), Fraction(rhs), **kw)
+    return VerificationReport(theorem, "", status, as_fraction(lhs), as_fraction(rhs), **kw)
 
 
 def _skipped(theorem: str, reason: str, **kw) -> VerificationReport:

@@ -202,6 +202,23 @@ def test_clique_stat_rejects_non_clique():
         max_star_over_clique(path_graph(4), (0, 2))
 
 
+def test_max_star_over_clique_validates_input():
+    g = complete_graph(4)
+    assert max_star_over_clique(g, (2, 0, 1)) == 3
+    for bad in ((0, 0, 1), (0, 4), (-1, 0), ()):
+        with pytest.raises(ValueError):
+            max_star_over_clique(g, bad)
+    with pytest.raises(ValueError, match="not a clique"):
+        max_star_over_clique(path_graph(4), (0, 1, 2))
+
+
+def test_rooted_join_names_an_unreached_edge():
+    g = disjoint_union(complete_graph(2), complete_graph(2))
+    with pytest.raises(ValueError, match=r"^no path from 0 through edge \(2, 3\); "
+                       "input must be connected$"):
+        PathEngine(g).vpath_edges(0, g.edges)
+
+
 def test_weighted_examples():
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     wg = WeightedGraph(tri, {(0, 1): 1, (0, 2): 1, (1, 2): 0})
@@ -285,6 +302,17 @@ def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
     clique_path_profile(g, 3)
     vpath_profile(g, 0)
     assert built == [g]
+
+
+def test_mt_and_unit_weighted_mt_build_one_path_profile():
+    g = join_graphs(complete_graph(2), cycle_graph(5))
+    path_profile.cache_clear()
+    weighted_path_profile.cache_clear()
+    reports = reports_for_graph(g, CorpusConfig(("mt", "weighted-mt")))
+    assert [r.status for r in reports] == ["ok", "ok"]
+    assert reports[0].lhs == reports[1].lhs
+    info = path_profile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_clique_verifiers_share_one_listing_per_order():

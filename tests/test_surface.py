@@ -15,10 +15,11 @@ LIBRARY_ONLY = frozenset({
     "connected_components", "cut_vertices", "cut_edges_and_2ec_pieces",
     # canonical forms as bytes, and the writer of the weighted-graph format
     "canonical_form", "write_weighted_graph",
-    # per-edge forms of statistics that the commands compute as profiles
+    # per-edge and per-clique forms of statistics that the commands compute
+    # as profiles
     "longest_path_through_edge", "longest_cycle_through_edge",
     "longest_vpath_through_edge", "max_weight_path_through_edge",
-    "weighted_path_ratios", "max_matching",
+    "weighted_path_ratios", "max_matching", "max_star_over_clique",
 })
 
 

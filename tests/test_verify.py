@@ -6,6 +6,7 @@ aggregation, family cross-checks, streaming order, and label formats.
 """
 
 import zlib
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -24,16 +25,20 @@ from locturan.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    is_connected,
     join_graphs,
     path_graph,
     star_graph,
     write_graph6,
 )
+from locturan.rationals import format_rational
+from locturan.stats import longest_path
 from locturan.verify import (
     ALL_THEOREMS,
     CSV_FIELDS,
     CorpusConfig,
     VerificationReport,
+    _bound,
     _recip_sum,
     is_counterexample,
     report_csv_row,
@@ -519,6 +524,25 @@ def test_report_to_dict_renders_rationals():
     assert d["lhs"] == "1"
 
 
+def test_format_rational_renders_every_accepted_input():
+    assert format_rational(7) == "7" and format_rational(-2) == "-2"
+    assert format_rational(True) == "1" and format_rational(False) == "0"
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
+    assert format_rational(Fraction(6, 3)) == "2"
+    assert format_rational(Fraction(-8, 4)) == "-2"
+
+
+def test_bound_stores_fractions_whatever_the_verifier_passes():
+    rep = _bound("mt", 1, 2)
+    assert type(rep.lhs) is Fraction and type(rep.rhs) is Fraction
+    row = dict(zip(CSV_FIELDS, report_csv_row(rep)))
+    assert (row["status"], row["lhs"], row["rhs"], row["slack"]) == ("ok", "1", "2", "1")
+    third = Fraction(1, 3)
+    rep = _bound("mt", third, True)
+    assert rep.lhs is third and type(rep.rhs) is Fraction
+    assert rep.to_dict()["rhs"] == "1" and rep.to_dict()["slack"] == "2/3"
+
+
 def test_report_to_dict_skipped_fields():
     d = verify_eg_cycle(path_graph(3)).to_dict()
     assert d["status"] == "hypothesis-not-met"
@@ -551,6 +575,36 @@ def test_is_counterexample_logic():
         "mt", "Bw", "ok", Fraction(1), Fraction(1), family_match=None
     )
     assert not is_counterexample(harmless)
+
+
+# ---------------------------------------------------------------------------
+# relations between theorems
+
+
+def test_rooted_reports_cross_check_the_unrooted_bounds_n7():
+    """On each connected class with 2 <= n <= 7, exact relations between
+    verifiers that read different engine queries:
+    (i) bbrs.slack = (1/2) sum_v ning-vpath.slack_v, because
+        sum_v (2m - d(v))/(n - 1) = 2m;
+    (ii) mt.slack >= (1/(n - 1)) sum_v local-bbrs.slack_v, because
+        p_v(e) <= p(e) and each edge has two ends;
+    (iii) mt.lhs >= m / longest path, because p(e) <= the longest path."""
+    cfg = CorpusConfig(("bbrs", "mt", "local-bbrs", "ning-vpath"))
+    classes = tight = 0
+    for g in frozen_corpus(7):
+        if g.n < 2 or not is_connected(g):
+            continue
+        by = defaultdict(list)
+        for rep in reports_for_graph(g, cfg):
+            by[rep.theorem].append(rep)
+        (bbrs,), (mt,) = by["bbrs"], by["mt"]
+        assert bbrs.slack == sum(r.slack for r in by["ning-vpath"]) / 2, g
+        rooted = sum(r.slack for r in by["local-bbrs"]) / (g.n - 1)
+        assert mt.slack >= rooted, g
+        assert mt.lhs >= Fraction(g.m, longest_path(g)), g
+        classes += 1
+        tight += mt.slack == rooted
+    assert (classes, tight) == (995, 200)
 
 
 # ---------------------------------------------------------------------------
