@@ -2,9 +2,9 @@
 
 Every numeric quantity that feeds a verdict is an int or a Fraction; floats
 never enter a verification path.  Rationals are rendered "p/q", with the
-denominator suppressed when it is 1.  as_fraction returns a Fraction as it
-is and converts anything else, so the reports, which render two or three
-Fractions each, never rebuild one.
+denominator suppressed when it is 1.  as_fraction converts to a Fraction
+but returns a Fraction as it is, so building and rendering a report copies
+no Fraction.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
 from operator import and_, or_
+from typing import Iterable
 
 from .graphs import Graph, WeightedGraph, is_clique, is_connected, mask_vertices
 
@@ -199,7 +200,7 @@ class PathEngine:
         """The largest path mask of at least 3 vertices from a to b, or 2."""
         return self._top(self._tables[b] & self._blocks[a], self._sizes, 2)
 
-    def vpath_edges(self, v: int, edges) -> list[int]:
+    def vpath_edges(self, v: int, edges: Iterable[tuple[int, int]]) -> list[int]:
         """p_v(ab) for each edge ab of edges, in order: one join of the paths
         from v ending at x with the paths from y, for xy = ab and ba.  No
         path from v has more than cap = ell(v) + 1 vertices, so each scan
