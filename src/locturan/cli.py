@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from typing import Iterator, Sequence, TextIO
 
 from .covers import bound_from_cover, find_spdc, write_cover
@@ -106,18 +107,18 @@ def _capped(g: Graph, where: str) -> Graph:
     return g
 
 
-def _open_output(path: str | None) -> TextIO:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output for None or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="ascii")
+        fh = open(path, "w", encoding="ascii")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _close_output(fh: TextIO) -> None:
-    if fh is not sys.stdout:
-        fh.close()
+    with fh:
+        yield fh
 
 
 def _parse_n_spec(spec: str) -> list[int]:
@@ -220,13 +221,10 @@ def _emit_records(
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     ns = _parse_n_spec(args.n)
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         for n in ns:
             for g in enumerate_graphs(n, connected_only=args.connected):
                 out.write(write_graph6(g) + "\n")
-    finally:
-        _close_output(out)
     return 0
 
 
@@ -282,11 +280,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             if not is_connected(g):
                 raise UsageError(f"{write_graph6(g)}: p_v(e) requires a connected graph")
     fields = ("graph6", "stat", "item", "root", "s", "weights", "value")
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit_records(_stat_records(args, graphs, weights), fields, args.format, out)
-    finally:
-        _close_output(out)
     return 0
 
 
@@ -335,21 +330,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if roots != "all" and roots >= top and set(ROOTED_THEOREMS) & set(theorems):
         raise UsageError(f"--roots {roots} fits no graph; the largest order is {top}")
 
-    out = _open_output(args.output)
-    writer = csv.writer(out, lineterminator="\n") if args.format == "csv" else None
-    if writer is not None:
-        writer.writerow(CSV_FIELDS)
     first_bad: list[str] = []
+    with _output(args.output) as out:
+        writer = csv.writer(out, lineterminator="\n") if args.format == "csv" else None
+        if writer is not None:
+            writer.writerow(CSV_FIELDS)
 
-    def sink(rep) -> None:
-        if is_counterexample(rep) and not first_bad:
-            first_bad.append(rep.graph6)
-        if args.format == "json":
-            out.write(json.dumps(rep.to_dict()) + "\n")
-        elif writer is not None:
-            writer.writerow(report_csv_row(rep))
+        def sink(rep) -> None:
+            if is_counterexample(rep) and not first_bad:
+                first_bad.append(rep.graph6)
+            if args.format == "json":
+                out.write(json.dumps(rep.to_dict()) + "\n")
+            elif writer is not None:
+                writer.writerow(report_csv_row(rep))
 
-    try:
         result = verify_corpus(
             theorems,
             roots=roots,
@@ -378,8 +372,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 out.write("PASS\n")
             else:
                 out.write(f"FAIL {first_bad[0] if first_bad else ''}".rstrip() + "\n")
-    finally:
-        _close_output(out)
 
     if not result.ok:
         for line in result.failures[:20]:
@@ -418,8 +410,7 @@ def cmd_spdc(args: argparse.Namespace) -> int:
         )
     fields = ("graph6", "paths", "path_count", "weights", "edge_sum",
               "certified_bound", "vertex_bound")
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "text":
             for rec, cover in zip(records, covers):
                 out.write(f"# {rec['graph6']}\n")
@@ -430,8 +421,6 @@ def cmd_spdc(args: argparse.Namespace) -> int:
                 )
         else:
             _emit_records(records, fields, args.format, out)
-    finally:
-        _close_output(out)
     return 0
 
 
@@ -457,11 +446,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
                 "added": "|".join(_edge_label(e) for e in res.added_edges),
             }
         )
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit_records(records, ("graph6", "k", "closure", "added"), args.format, out)
-    finally:
-        _close_output(out)
     return 0
 
 
@@ -486,11 +472,8 @@ def cmd_ge(args: argparse.Namespace) -> int:
             }
         )
     fields = ("graph6", "d", "a", "c", "components", "matching_number", "deficiency")
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit_records(records, fields, args.format, out)
-    finally:
-        _close_output(out)
     return 0
 
 

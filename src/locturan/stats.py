@@ -61,9 +61,6 @@ from .graphs import Graph, WeightedGraph, is_clique, is_connected, mask_vertices
 
 TABLE_CAP = 12
 
-EDGE_STAT_KINDS = ("p", "c", "p_v", "mu", "s", "w_p")
-CLIQUE_STAT_KINDS = ("p_S", "s_K")
-
 
 @dataclass(frozen=True)
 class EdgeStatProfile:
@@ -73,12 +70,6 @@ class EdgeStatProfile:
     values: dict
     root: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in EDGE_STAT_KINDS:
-            raise ValueError(f"unknown edge statistic kind {self.kind!r}")
-        if (self.kind == "p_v") != (self.root is not None):
-            raise ValueError("root is required for p_v and disallowed otherwise")
-
 
 @dataclass(frozen=True)
 class CliqueStatProfile:
@@ -87,12 +78,6 @@ class CliqueStatProfile:
     kind: str
     s: int
     values: dict
-
-    def __post_init__(self):
-        if self.kind not in CLIQUE_STAT_KINDS:
-            raise ValueError(f"unknown clique statistic kind {self.kind!r}")
-        if self.s < 1:
-            raise ValueError("clique order must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +156,13 @@ class PathEngine:
                 return j
         return floor
 
-    def _join(self, masks: int, s: int, y: int, floor: int = 0) -> int:
+    def _join(self, masks: int, s: int, y: int) -> int:
         """max |M1| + |M2| over M1 in block s of masks and M2 a path mask from
-        y disjoint from M1, or floor if that is larger.  masks must lie in
-        block s; it is moved to block n-1-y, where the level sets of y are."""
+        y disjoint from M1, or 0 if there is none.  masks must lie in block s;
+        it is moved to block n-1-y, where the level sets of y are."""
         shift = (self.n - 1 - y - s) << self.n
         masks = masks << shift if shift >= 0 else masks >> -shift
-        return self._top(masks, self._levels, floor)
+        return self._top(masks, self._levels)
 
     # -- queries ------------------------------------------------------------
 

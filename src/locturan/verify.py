@@ -276,7 +276,7 @@ def verify_local_bbrs(g: Graph, v: int) -> VerificationReport:
     if not is_connected(g):
         return _skipped("local-bbrs", "disconnected", root=v)
     # an edge at v counts 1/(2p), any other edge 1/p
-    profile = vpath_profile(g, v).values if g.m else {}
+    profile = vpath_profile(g, v).values
     lhs = _recip_sum(2 * p if v in e else p for e, p in profile.items())
     rep = _bound("local-bbrs", lhs, Fraction(g.n - 1, 2), root=v)
     rep.family_match = is_cliques_sharing_vertex(g, v)

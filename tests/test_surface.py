@@ -59,3 +59,31 @@ def test_every_public_name_is_reached_or_library_only():
     # the allow-list names only what exists and is not reached
     assert sorted(LIBRARY_ONLY - public) == []
     assert sorted(LIBRARY_ONLY & reached) == []
+
+
+def test_package_modules_reach_no_private_names():
+    """No module of the package takes an underscore name from a sibling,
+    either by `from .mod import _name` or as `mod._name` on an imported
+    sibling module."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("locturan")
+            ):
+                offenders += [f"{path.name}:{node.lineno}: {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+                if node.module in (None, "locturan"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {alias.asname for alias in node.names
+                            if alias.name.startswith("locturan.") and alias.asname}
+        offenders += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+        ]
+    assert offenders == []
