@@ -31,18 +31,20 @@ scaled to integers by the lcm d of its denominators and runs one max-weight
 subset DP (Bellman 1962; Held & Karp 1962) over reached states only: t[mask]
 is None, or maps each end v of a path from a root on exactly the vertices of
 mask to the heaviest such path.  Rooted at every vertex, with the heaviest
-continuation from each state, it gives w(p(e)) for every edge: one profile,
-cached per weighting as the PathEngine is per graph, that yields the
-heaviest path and each w(e)/w(p(e)) as an integer over one denominator.
-Rooted at a cycle's least vertex r, on the vertices >= r, it gives the
-heaviest cycle.  Each result is divided by d once.
+continuation from each state, it gives w(p(e)) for every edge: one profile
+that yields the heaviest path and each w(e)/w(p(e)) as an integer over one
+denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
+gives the heaviest cycle.  Each result is divided by d once.
 
-The s-vertex cliques are listed once per (graph, s) and cached for the few
-orders a graph's clique verifiers ask for; clique_count and both clique
-profiles read that listing.  p(S) takes one engine join per pair of S, and
-s(K) the largest degree over K, or over K and its common neighbours.  The
-public per-clique functions validate their clique; clique_star_profile
+The s-vertex cliques are listed once per (graph, s); clique_count and both
+clique profiles read that listing.  p(S) takes one engine join per pair of
+S, and s(K) the largest degree over K, or over K and its common neighbours.
+The public per-clique functions validate their clique; clique_star_profile
 reads the listed cliques through the unvalidated core of s(K).
+
+The caches hold what the verifiers of the graph in flight share: one engine
+and one matching table per graph, its clique listings per order, and one
+heaviest-path profile per weighting.  Other profiles are not cached.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -131,7 +133,7 @@ class PathEngine:
         self._tables = table
         self._union = reduce(or_, table, 0)
 
-    @cached_property
+    @cached_property  # built on an engine's first join, read by every join
     def _levels(self) -> list[int]:
         """levels[j]: bit (n-1-y) 2^n + M set iff some path mask M2 from y is
         disjoint from M and |M| + |M2| = j.  Bit 0 of block n-1-y (M empty)
@@ -214,7 +216,8 @@ class PathEngine:
         return out
 
 
-@lru_cache(maxsize=512)
+# The verifiers of the graph in flight read its engine, 45 times per n <= 7 class.
+@lru_cache(maxsize=4)
 def _engine(g: Graph) -> PathEngine:
     return PathEngine(g)
 
@@ -256,8 +259,6 @@ def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
     return _engine(g).vpath_edges(v, [g.check_edge(e)])[0]
 
 
-# mt and the unit weighted-mt of one graph read one profile.
-@lru_cache(maxsize=4)
 def path_profile(g: Graph) -> EdgeStatProfile:
     eng = _engine(g)
     return EdgeStatProfile("p", {e: eng.edge_path(*e) for e in g.edges})
@@ -291,7 +292,8 @@ def star_profile(g: Graph) -> EdgeStatProfile:
 # matchings
 
 
-@lru_cache(maxsize=2048)
+# Read 12 times per n <= 7 class, and by gallai_edmonds for a few subgraphs.
+@lru_cache(maxsize=4)
 def match_table(g: Graph) -> tuple[int, ...]:
     """table[mask]: maximum matching size of the induced subgraph on mask."""
     if g.n > TABLE_CAP:
@@ -357,8 +359,7 @@ def matching_profile(g: Graph) -> EdgeStatProfile:
 # cliques
 
 
-# The clique verifiers of one graph ask for orders s - 1, s and s + 1 of each
-# configured s, so a few entries let them share one listing per order.
+# The clique verifiers of a graph ask for orders s - 1, s and s + 1 of each s.
 @lru_cache(maxsize=16)
 def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
     if s < 1:
@@ -519,8 +520,7 @@ def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
     return ws.pop() if len(ws) == 1 else None
 
 
-# reports_for_graph runs weighted-mt on every weighting of a graph before fmr
-# reads the same profiles, so up to 64 trials per graph share one DP run each.
+# weighted-mt and fmr read the profile of each of a graph's up to 64 weightings.
 @lru_cache(maxsize=64)
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""

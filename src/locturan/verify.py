@@ -108,7 +108,7 @@ class VerificationReport:
     witness: dict | None = None
     reason: str | None = None
 
-    @cached_property
+    @cached_property  # read by equality, to_dict and the corpus tally
     def slack(self) -> Fraction | None:
         if self.lhs is None or self.rhs is None:
             return None

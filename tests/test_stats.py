@@ -59,6 +59,7 @@ from locturan.stats import (
     longest_path_with_consecutive_clique,
     longest_vpath,
     longest_vpath_through_edge,
+    match_table,
     matching_number,
     matching_profile,
     max_matching,
@@ -78,7 +79,7 @@ from locturan.stats import (
     _heaviest_cycle,
     _heaviest_through_edges,
 )
-from locturan.verify import CorpusConfig, reports_for_graph
+from locturan.verify import ALL_THEOREMS, CorpusConfig, reports_for_graph, verify_corpus
 
 
 def bowtie() -> Graph:
@@ -299,15 +300,22 @@ def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
     assert built == [g]
 
 
-def test_mt_and_unit_weighted_mt_build_one_path_profile():
+def test_mt_and_unit_weighted_mt_read_equal_path_sums():
     g = join_graphs(complete_graph(2), cycle_graph(5))
-    path_profile.cache_clear()
     weighted_path_profile.cache_clear()
     reports = reports_for_graph(g, CorpusConfig(("mt", "weighted-mt")))
     assert [r.status for r in reports] == ["ok", "ok"]
     assert reports[0].lhs == reports[1].lhs
-    info = path_profile.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_every_verifier_of_a_class_shares_one_engine_and_matching_table():
+    """The capped caches hold the working set of the graph in flight: over
+    the 208 classes with n <= 6, each engine and matching table is built once."""
+    _engine.cache_clear()
+    match_table.cache_clear()
+    assert verify_corpus(ALL_THEOREMS, ns=range(1, 7)).ok
+    assert _engine.cache_info().misses == 208
+    assert match_table.cache_info().misses == 208
 
 
 def test_clique_verifiers_share_one_listing_per_order():
