@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence, TextIO
@@ -109,16 +110,27 @@ def _capped(g: Graph, where: str) -> Graph:
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """Standard output for None or "-", else the file at path, closed on exit."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+    """Standard output for None or "-", flushed on exit, else the file at
+    path, closed on exit.  An OSError from opening, writing, flushing or
+    closing it is a UsageError; a broken pipe is left to main."""
+    to_stdout = path is None or path == "-"
     try:
-        fh = open(path, "w", encoding="ascii")
+        if to_stdout:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="ascii") as fh:
+                yield fh
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
-        yield fh
+        if to_stdout:
+            # the unwritten data would fail again at the flush on exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        name = "stdout" if to_stdout else path
+        raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
 def _parse_n_spec(spec: str) -> list[int]:
@@ -170,9 +182,11 @@ def _check_seed(args: argparse.Namespace) -> None:
 def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
     """--weights as `weightings` takes it: the mode name, or for "file" the
     weighted graph read from --weights-file."""
-    if args.weights != "file":
-        return args.weights
     path = args.weights_file
+    if args.weights != "file":
+        if path is not None:
+            raise UsageError("--weights-file requires --weights file")
+        return args.weights
     if path is None:
         raise UsageError("--weights file requires --weights-file")
     try:
@@ -267,6 +281,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise UsageError("stat p_v requires --root")
     if args.stat == "w_p":
         _check_seed(args)
+    if args.input is not None and args.weights == "file":
+        raise UsageError("stats takes one graph source, got --input and --weights file")
     weights = _load_weights(args)
     if isinstance(weights, WeightedGraph):
         graphs = [_capped(weights.graph, args.weights_file)]

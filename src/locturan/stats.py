@@ -6,23 +6,25 @@ and bit s 2^n + mask of F[u] is set iff some simple path from s covering
 exactly the vertices of `mask` ends at u.  One transition round ORs neighbor
 tables, keeps only masks missing u, and shifts by 2^u to add u, which never
 carries into the next block; so every source grows in the same rounds, and
-a fixpoint is reached in at most n of them.  Every path query is then
-one join.  For each vertex y, the level set S_y[j] has bit M set iff some
-path from y avoids M and has j - |M| vertices, so the largest |M1| + |M2|
-over masks M1 of a given set and paths M2 from y disjoint from them is the
-largest j where the set meets S_y[j].  All S_y come from one packed pass:
-the bit-reversed OR of the tables holds full ^ M2 in block n-1-y for each
-path mask M2 from y, n shift-OR steps close each path size under subsets,
-and levels[j] holds S_y[j] in block n-1-y.  A query moves its masks into
-that block.  p(ab) joins the paths from a with b, p_v(ab) the paths from v
-that end at one end of ab with the other end, and ell(v) the empty mask with
-v; p(S) first shifts the masks that avoid the rest of S onto it.  No path
-from v has more than ell(v) + 1 vertices, so the p_v(e) of a root come from
-one pass over its edges that scans the levels from that cap down and joins
-the second orientation of an edge only if the first falls short of it.
-c(ab) is the largest path mask from a to b with at least 3 vertices, or 2.
-An engine is n tables, their OR and n + 1 level integers; no per-edge,
-per-root or per-clique tables are built.
+a fixpoint is reached in at most n of them.  A statistic of one path is
+then a size read, the largest |mask| in a slice of the tables: ell(v) reads
+block v of their OR, the longest path all of it, p({v}) its masks with v,
+and c(ab) the paths from a that end at b, one of which is the edge ab.  A
+statistic of two joined paths, p(e), p(S) or p_v(e), is a join.  For each
+vertex y, the level set S_y[j] has bit M set iff some path from y avoids M
+and has j - |M| vertices, so the largest |M1| + |M2| over masks M1 of a
+given set and paths M2 from y disjoint from them is the largest j where the
+set meets S_y[j].  All S_y come from one packed pass on the first join: the
+bit-reversed OR of the tables holds full ^ M2 in block n-1-y for each path
+mask M2 from y, n shift-OR steps close each path size under subsets, and
+levels[j] holds S_y[j] in block n-1-y.  A join moves its masks into that
+block.  p(ab) joins the paths from a with b, and p_v(ab) the paths from v
+that end at one end of ab with the other end; p(S) first shifts the masks
+that avoid the rest of S onto it.  No path from v has more than ell(v) + 1
+vertices, so the p_v(e) of a root come from one pass over its edges that
+scans the levels from that cap down and joins the second orientation of an
+edge only if the first falls short of it.  An engine is n tables, their OR
+and n + 1 level integers; no per-edge, per-root or per-clique tables.
 
 When every edge weighs the same c, the heaviest path through e weighs
 c p(e) and the heaviest cycle c times the circumference, so the weighted
@@ -37,8 +39,9 @@ denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
 gives the heaviest cycle.  Each result is divided by d once.
 
 The s-vertex cliques are listed once per (graph, s); clique_count and both
-clique profiles read that listing.  p(S) takes one engine join per pair of
-S, and s(K) the largest degree over K, or over K and its common neighbours.
+clique profiles read that listing.  p(S) takes one size read if |S| = 1,
+else one engine join per pair of S, and s(K) the largest degree over K, or
+over K and its common neighbours.
 The public per-clique functions validate their clique; clique_star_profile
 reads the listed cliques through the unvalidated core of s(K).
 
@@ -136,8 +139,7 @@ class PathEngine:
     @cached_property  # built on an engine's first join, read by every join
     def _levels(self) -> list[int]:
         """levels[j]: bit (n-1-y) 2^n + M set iff some path mask M2 from y is
-        disjoint from M and |M| + |M2| = j.  Bit 0 of block n-1-y (M empty)
-        says a path from y has j vertices."""
+        disjoint from M and |M| + |M2| = j.  Only the joins read them."""
         n = self.n
         # Reversed, the union holds full ^ M2 in block n-1-y for each path
         # mask M2 from y; the masks avoiding M2 are the subsets of full ^ M2.
@@ -151,48 +153,46 @@ class PathEngine:
                 levels[k + size] |= self._sizes[k] & avoid
         return levels
 
-    def _top(self, masks: int, levels: list[int] | tuple[int, ...], floor: int = 0) -> int:
-        """The largest j > floor with masks & levels[j] nonzero, or floor."""
-        for j in range(self.n, floor, -1):
+    def _top(self, masks: int, levels: list[int] | tuple[int, ...]) -> int:
+        """The largest j with masks & levels[j] nonzero, or 0."""
+        for j in range(self.n, 0, -1):
             if masks & levels[j]:
                 return j
-        return floor
-
-    def _join(self, masks: int, s: int, y: int) -> int:
-        """max |M1| + |M2| over M1 in block s of masks and M2 a path mask from
-        y disjoint from M1, or 0 if there is none.  masks must lie in block s;
-        it is moved to block n-1-y, where the level sets of y are."""
-        shift = (self.n - 1 - y - s) << self.n
-        masks = masks << shift if shift >= 0 else masks >> -shift
-        return self._top(masks, self._levels)
+        return 0
 
     # -- queries ------------------------------------------------------------
 
     def longest_path(self) -> int:
-        return max((self.vpath(v) for v in range(self.n)), default=0)
+        return self._top(self._union, self._sizes) - 1
 
     def vpath(self, v: int) -> int:
-        return self._join(1, 0, v) - 1
+        return self._top(self._union & self._blocks[v], self._sizes) - 1
+
+    def vertex_path(self, v: int) -> int:  # p({v})
+        return self._top(self._union & ~self._without[v], self._sizes) - 1
 
     def edge_path(self, a: int, b: int, banned: int = 0) -> int:
-        """p(ab) in G - banned.  Shifting the masks from a that avoid banned
-        by `banned` adds banned to each, so the join keeps b's half off it."""
+        """p(ab) in G - banned.  One shift moves the masks from a that avoid
+        banned to b's level sets, in block n-1-b, and adds banned to each, so
+        the join keeps b's half off it."""
         masks = self._union & self._blocks[a]
         for v in range(banned.bit_length()):
             if banned >> v & 1:
                 masks &= self._without[v]
-        return self._join(masks << banned, a, b) - banned.bit_count() - 1
+        shift = ((self.n - 1 - b - a) << self.n) + banned
+        masks = masks << shift if shift >= 0 else masks >> -shift
+        return self._top(masks, self._levels) - banned.bit_count() - 1
 
     def edge_cycle(self, a: int, b: int) -> int:
-        """The largest path mask of at least 3 vertices from a to b, or 2."""
-        return self._top(self._tables[b] & self._blocks[a], self._sizes, 2)
+        """The largest path mask from a to b; the edge ab is one of 2."""
+        return self._top(self._tables[b] & self._blocks[a], self._sizes)
 
     def vpath_edges(self, v: int, edges: Iterable[tuple[int, int]]) -> list[int]:
         """p_v(ab) for each edge ab of edges, in order: one join of the paths
         from v ending at x with the paths from y, for xy = ab and ba.  No
         path from v has more than cap = ell(v) + 1 vertices, so each scan
-        starts at cap, and once ab reaches cap, ba is not joined.  The scan
-        is _join's, inlined: a call per join costs about a third more."""
+        starts at cap, and once ab reaches cap, ba is not joined.  The scans
+        are edge_path's, inline: a call per join costs about a third more."""
         n, levels = self.n, self._levels
         cap = self.vpath(v) + 1
         block = self._blocks[v]
@@ -406,8 +406,7 @@ def longest_path_with_consecutive_clique(g: Graph, clique) -> int:
     eng = _engine(g)
     s = len(vs)
     if s == 1:
-        return max((eng.edge_path(vs[0], w) for w in mask_vertices(g.adj[vs[0]])),
-                   default=0)
+        return eng.vertex_path(vs[0])
     # S is a block x ... y: a path through xy in G - (S - x - y), with the
     # other s - 2 vertices of S put between x and y.
     return max(

@@ -687,6 +687,35 @@ def test_spdc_validates_each_cover_once_and_names_an_invalid_one(monkeypatch):
     assert validated == ["Bw"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--stat", "p"],
+    ["stats", "--stat", "w_p", "--weights", "random", "--seed", "1"],
+    ["verify", "--theorem", "mt", "--n", "3"],
+    ["spdc"],
+], ids=["stats", "stats-random", "verify", "spdc"])
+def test_weights_file_without_file_weights_is_rejected(tmp_path, argv):
+    """--weights-file is read only by --weights file; alone it would be
+    dropped without a word."""
+    wfile = tmp_path / "tri.wg"
+    wfile.write_text(TRI_WEIGHTS)
+    code, out, err = run_cli(argv + ["--weights-file", str(wfile)], stdin="Bw\n")
+    assert (code, out) == (2, "")
+    assert err == "error: --weights-file requires --weights file\n"
+
+
+def test_stats_rejects_input_beside_weights_file(tmp_path):
+    """stats reports on one graph source; the weights file's graph would
+    silently replace the --input graphs."""
+    g6 = tmp_path / "one.g6"
+    g6.write_text("Bw\n")
+    wfile = tmp_path / "tri.wg"
+    wfile.write_text(TRI_WEIGHTS)
+    code, out, err = run_cli(["stats", "--stat", "p", "--input", str(g6),
+                              "--weights", "file", "--weights-file", str(wfile)])
+    assert (code, out) == (2, "")
+    assert err == "error: stats takes one graph source, got --input and --weights file\n"
+
+
 def test_spdc_weights_file_must_match_graph(tmp_path):
     wfile = tmp_path / "tri.wg"
     wfile.write_text(TRI_WEIGHTS)
@@ -764,19 +793,60 @@ def test_ge_text_omits_empty_parts():
 # output files
 
 
-@pytest.mark.parametrize("argv, stdin", [
+# one run of each subcommand that writes at least one line
+EVERY_COMMAND = [
     (["enumerate", "--n", "2"], ""),
     (["stats", "--stat", "p"], "Bw\n"),
     (["verify", "--theorem", "star", "--n", "1-3"], ""),
     (["spdc"], "Bw\n"),
     (["closure", "--k", "2"], "Bw\n"),
     (["ge"], "Bw\n"),
-])
+]
+COMMAND_IDS = ["enumerate", "stats", "verify", "spdc", "closure", "ge"]
+
+
+@pytest.mark.parametrize("argv, stdin", EVERY_COMMAND)
 def test_unwritable_output_is_a_usage_error(tmp_path, argv, stdin):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(argv + ["--output", str(target)], stdin=stdin)
     assert (code, out) == (2, "")
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this system"
+)
+
+
+def run_module(argv, stdin, stdout=subprocess.PIPE):
+    """Run python -m locturan with buffered stdout; returns (exit code,
+    stdout, stderr), with stdout None when it went to the given file."""
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "locturan", *argv], input=stdin, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, stdin", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_full_output_device_exits_two(argv, stdin):
+    """A write that fails, here or when the file is closed, is an I/O error
+    with one line on stderr, not a traceback and exit 1."""
+    code, out, err = run_module(argv + ["--output", "/dev/full"], stdin)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+def test_full_stdout_exits_two():
+    """Two lines fit the stdout buffer, so the error surfaces on the final
+    flush, which must come before the interpreter's exit."""
+    with open("/dev/full", "w") as full:
+        code, _, err = run_module(["stats", "--stat", "p"], "Bw\n", stdout=full)
+    assert (code, err) == (2, "error: cannot write stdout: No space left on device\n")
 
 
 # ---------------------------------------------------------------------------
