@@ -1,6 +1,7 @@
 """Path double covers: validation, construction, certified bound chain."""
 
 import hashlib
+import itertools
 import random
 import signal
 import zlib
@@ -22,6 +23,7 @@ from locturan.graphs import (
     WeightedGraph,
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     parse_graph6,
     path_graph,
     seeded_weights,
@@ -98,6 +100,25 @@ def test_spdc_every_class_through_n7_is_pinned():
         paths = "|".join("-".join(map(str, p)) for p in cover.paths)
         lines.append(f"{write_graph6(g)} {paths}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == SPDC_N7_DIGEST
+
+
+# The same digest over K8, K9, three dense n = 10 graphs on which an earlier
+# search took seconds, and every 16th class with n = 8 in enumeration order.
+SPDC_BEYOND_N7_DIGEST = "45012608a2b5ebf60e132da9fb1be92d30fe896c648788349a9457d2d41de6e7"
+DENSE_N10 = ("IYujO}v~g", "IUl^n~lvg", "Ify}~WVmw")
+
+
+def test_spdc_covers_beyond_n7_are_pinned():
+    graphs = (complete_graph(8), complete_graph(9), *map(parse_graph6, DENSE_N10),
+              *itertools.islice(enumerate_graphs(8), 0, None, 16))
+    lines = []
+    for g in graphs:
+        cover = find_spdc(g)
+        assert validate_pdc(g, cover).valid and len(cover) <= g.n, write_graph6(g)
+        paths = "|".join("-".join(map(str, p)) for p in cover.paths)
+        lines.append(f"{write_graph6(g)} {paths}\n")
+    assert len(lines) == 5 + 772
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SPDC_BEYOND_N7_DIGEST
 
 
 class CpuBudgetExceeded(Exception):
