@@ -2,10 +2,14 @@
 
 A path double cover is a multiset of simple paths covering every edge
 exactly twice.  find_spdc searches for one with at most n paths by
-backtracking: branch on the least edge still needing coverage, try every
+backtracking: branch on the least edge ab still needing coverage, try every
 simple path through it that stays on edges with remaining demand, longest
-candidates first.  The search is deterministic, so repeated runs emit the
-same cover.
+candidates first.  Each candidate is a half path from a, reversed, then a
+half path grown from b around it, so no overlapping pair is built.  As a
+comes right before b in every candidate, no candidate is the reverse of
+another, and the order (longer first, then the lesser of a path and its
+reverse) is total: the search tries the candidates in the same order
+however they are listed, and repeated runs emit the same cover.
 
 Two prunes keep it fast on dense graphs (K7 in milliseconds).  A path
 passes through a vertex at most once, so it covers at most two edges there:
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, WeightedGraph
+from .graphs import Graph, WeightedGraph, mask_vertices
 from .stats import weighted_ratio_terms
 
 
@@ -90,10 +94,13 @@ def validate_pdc(g: Graph, cover: PathDoubleCover) -> CoverVerdict:
 def find_spdc(g: Graph) -> PathDoubleCover:
     """A path double cover with at most g.n paths (empty for edgeless graphs).
 
-    A state is cut when some vertex has more demand left than 2 x (paths
-    left), or when the same (paths chosen, demand per edge) state has failed
-    before.  Neither cut loses a cover, so the first cover found is the one
-    the search without them finds.
+    The candidates through ab are a's half paths avoiding b, reversed, each
+    followed by b's half paths avoiding it; their sort key is total, so the
+    search order does not depend on how they are listed.  A state is cut
+    when some vertex has more demand left than 2 x (paths left), or when the
+    same (paths chosen, demand per edge) state has failed before.  Neither
+    cut loses a cover, so the first cover found is the one the search
+    without them finds.
     """
     if not g.edges:
         return PathDoubleCover(())
@@ -105,20 +112,11 @@ def find_spdc(g: Graph) -> PathDoubleCover:
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def half_paths(start: int, banned: int) -> list[tuple[tuple[int, ...], int]]:
-        out: list[tuple[tuple[int, ...], int]] = []
-
-        def extend(seq: list[int], mask: int) -> None:
-            out.append((tuple(seq), mask))
-            ext = alive[seq[-1]] & ~mask & ~banned
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                w = low.bit_length() - 1
-                seq.append(w)
-                extend(seq, mask | low)
-                seq.pop()
-
-        extend([start], 1 << start)
+        """Every path from start on live edges avoiding banned, with its mask."""
+        out = [((start,), 1 << start)]
+        for seq, mask in out:  # breadth first: out grows as it is read
+            for w in mask_vertices(alive[seq[-1]] & ~mask & ~banned):
+                out.append((seq + (w,), mask | 1 << w))
         return out
 
     def shift(seq: tuple[int, ...], step: int) -> None:
@@ -143,9 +141,8 @@ def find_spdc(g: Graph) -> PathDoubleCover:
         if state in failed:
             return False
         a, b = target
-        rights = half_paths(b, 1 << a)
         cands = [ls[::-1] + rs for ls, lm in half_paths(a, 1 << b)
-                 for rs, rm in rights if not lm & rm]
+                 for rs, _ in half_paths(b, lm)]
         cands.sort(key=lambda p: (-len(p), min(p, p[::-1])))
         for path in cands:
             shift(path, -1)

@@ -89,6 +89,7 @@ class CliqueStatProfile:
 # packed mask sets, cached per n
 
 
+# Every PathEngine of order n reads these, one set per n <= TABLE_CAP.
 @lru_cache(maxsize=None)
 def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Mask sets over n blocks of 2^n bits, where bit s 2^n + mask stands for
@@ -368,7 +369,7 @@ def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
     # growing by those in ascending order keeps every level in lex order.
     above = [g.adj[v] & -(2 << v) for v in range(g.n)]
     level = [((v,), above[v]) for v in range(g.n)]
-    for _ in range(s - 1):
+    while level and len(level[0][0]) < s:  # no clique outgrows an empty level
         level = [(k + (v,), common & above[v])
                  for k, common in level for v in mask_vertices(common)]
     return tuple(k for k, _ in level)

@@ -31,7 +31,7 @@ from locturan.graphs import (
     write_graph6,
     write_weighted_graph,
 )
-from locturan.stats import EdgeStatProfile
+from locturan.stats import EdgeStatProfile, clique_count, enumerate_cliques
 from locturan.verify import (
     CSV_FIELDS,
     CorpusResult,
@@ -912,6 +912,28 @@ def test_perfbench_trace_replays_a_verify_run(tmp_path):
     assert out.returncode == 0, out.stderr
     traced = json.loads(layers.read_text())["layers"]
     assert {"stats.weighted_path_profile", "verify.fmr"} <= set(traced)
+
+
+HUGE_S = [
+    (["verify", "--n", "3", "--theorem", "delta"], ""),
+    (["verify", "--n", "3", "--theorem", "gt-path,gt-star"], ""),
+    (["stats", "--stat", "s_K"], "Bw\n"),
+    (["stats", "--stat", "p_S"], "Bw\n"),
+]
+
+
+def test_huge_clique_order_returns_at_once():
+    """The clique listing stops at its last nonempty level, so an order far
+    past n answers as fast as any order past the clique number."""
+    for argv, stdin in HUGE_S:
+        out = subprocess.run(
+            [sys.executable, "-m", "locturan", *argv, "--s", "1000000000"],
+            input=stdin, capture_output=True, text=True, env=module_env(), timeout=5,
+        )
+        assert (out.returncode, out.stdout) == run_cli(argv + ["--s", "99"], stdin)[:2]
+    g = complete_graph(3)
+    assert clique_count(g, 10**12) == 0
+    assert enumerate_cliques(g, 10**12) == []
 
 
 def test_cli_import_loads_no_numpy(tmp_path):

@@ -87,3 +87,23 @@ def test_package_modules_reach_no_private_names():
             and node.value.id in modules and node.attr.startswith("_")
         ]
     assert offenders == []
+
+
+MEMOS = {"lru_cache", "cached_property"}
+
+
+def test_every_memo_says_what_reads_it():
+    """Each lru_cache and cached_property under src/ has a comment, on its
+    decorator line or the line above, naming what reads the cached value:
+    a cache that no reader can be named for does not pay for itself."""
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) in MEMOS:
+                    line, above = lines[dec.lineno - 1], lines[dec.lineno - 2]
+                    if "#" not in line and not above.lstrip().startswith("#"):
+                        bare.append(f"{path.name}:{dec.lineno}: {node.name}")
+    assert bare == []
