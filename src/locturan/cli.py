@@ -153,6 +153,8 @@ def _parse_theorems(values: list[str]) -> list[str]:
     names: list[str] = []
     for chunk in values:
         names.extend(tok.strip() for tok in chunk.split(",") if tok.strip())
+    if values and not names:
+        raise UsageError("--theorem names no theorem; give ids or 'all'")
     if not names or names == ["all"]:
         return list(ALL_THEOREMS)
     for i, name in enumerate(names):
@@ -334,6 +336,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"gt-path and gt-star need --s values >= 2, got {args.s}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials != 1 and args.weights != "random":
+        raise UsageError("--trials requires --weights random")
     weights = _load_weights(args)
     if isinstance(weights, WeightedGraph):
         corpus = dict(graphs=[_capped(weights.graph, args.weights_file)])

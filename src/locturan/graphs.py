@@ -42,7 +42,7 @@ CANON_CAP = 8  # largest order for canonical forms and enumeration
 class Graph:
     """Immutable simple graph with bitset adjacency."""
 
-    __slots__ = ("n", "adj", "edges", "_hash")
+    __slots__ = ("n", "adj", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -60,7 +60,6 @@ class Graph:
         self.edges = tuple(
             (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1
         )
-        self._hash = hash((n, self.adj))
 
     @property
     def m(self) -> int:
@@ -89,7 +88,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {list(self.edges)})"
@@ -432,8 +431,7 @@ def is_two_edge_connected(g: Graph) -> bool:
 
 
 class WeightedGraph:
-    """A Graph plus one nonnegative rational weight per edge.  Hashable; the
-    weighted statistics cache on it, so `weights` must not change."""
+    """A Graph plus one nonnegative rational weight per edge."""
 
     __slots__ = ("graph", "weights")
 
@@ -470,9 +468,6 @@ class WeightedGraph:
             and self.graph == other.graph
             and self.weights == other.weights
         )
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
 
     def __repr__(self) -> str:
         return f"WeightedGraph({self.graph!r}, {self.weights!r})"

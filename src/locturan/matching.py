@@ -3,10 +3,11 @@ and degree-sum closures.
 
 The decomposition computes D = {v : deleting v leaves the matching number
 unchanged}, A = N(D) \\ D, C = V \\ (D u A), then re-verifies the structure
-it promises before returning: every component of G[D] is factor-critical,
-G[C] has a perfect matching, A can be matched into |A| distinct components
-of G[D], and the deficiency identity n - 2*mu == (#components of D) - |A|
-holds.  A verification failure raises rather than returning bad structure.
+it promises, reading each induced subgraph from the matching table of G:
+every component of G[D] is factor-critical, G[C] has a perfect matching, A
+can be matched into |A| distinct components of G[D], and the deficiency
+identity n - 2*mu == (#components of D) - |A| holds.  A verification
+failure raises rather than returning bad structure.
 
 The k-closure repeatedly joins the lexicographically least nonadjacent pair
 with degree sum >= k; with k = 2*mu(G) + 1 it keeps the matching number.
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, component_masks, induced_subgraph, mask_vertices
-from .stats import match_table, matching_number
+from .graphs import Graph, component_masks, mask_vertices
+from .stats import match_table
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -26,14 +27,11 @@ def is_factor_critical(g: Graph) -> bool:
 
     The empty graph is vacuously factor-critical; even orders never are.
     """
-    if g.n == 0:
-        return True
     if g.n % 2 == 0:
-        return False
+        return g.n == 0
     table = match_table(g)
     full = (1 << g.n) - 1
-    half = (g.n - 1) // 2
-    return all(table[full ^ (1 << v)] == half for v in range(g.n))
+    return all(2 * table[full ^ 1 << v] == g.n - 1 for v in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,9 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
     """The D/A/C decomposition, structurally re-verified before returning."""
     table = match_table(g)
     full = (1 << g.n) - 1
-    mu = table[full] if g.n else 0
-    dmask = 0
-    for v in range(g.n):
-        if table[full ^ (1 << v)] == mu:
-            dmask |= 1 << v
-    amask = 0
-    for v in range(g.n):
-        if not dmask >> v & 1 and g.adj[v] & dmask:
-            amask |= 1 << v
+    mu = table[full]
+    dmask = sum(1 << v for v in range(g.n) if table[full ^ 1 << v] == mu)
+    amask = sum(1 << v for v in range(g.n) if not dmask >> v & 1 and g.adj[v] & dmask)
     cmask = full & ~dmask & ~amask
     comp_masks = component_masks(g, dmask)
     d = tuple(mask_vertices(dmask))
@@ -83,10 +75,9 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
     c = tuple(mask_vertices(cmask))
 
     for m in comp_masks:
-        if not is_factor_critical(induced_subgraph(g, mask_vertices(m))):
+        if any(2 * table[m ^ 1 << v] != m.bit_count() - 1 for v in mask_vertices(m)):
             raise RuntimeError("decomposition re-verification failed: D component not factor-critical")
-    csub = induced_subgraph(g, c)
-    if 2 * matching_number(csub) != csub.n:
+    if 2 * table[cmask] != len(c):
         raise RuntimeError("decomposition re-verification failed: C side not perfectly matchable")
     if not _a_matches_into_components(g, a, comp_masks):
         raise RuntimeError("decomposition re-verification failed: A not matchable into distinct D components")

@@ -38,16 +38,12 @@ that yields the heaviest path and each w(e)/w(p(e)) as an integer over one
 denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
 gives the heaviest cycle.  Each result is divided by d once.
 
-The s-vertex cliques are listed once per (graph, s); clique_count and both
-clique profiles read that listing.  p(S) takes one size read if |S| = 1,
+clique_count and both clique profiles read the listing of the s-vertex
+cliques.  p(S) takes one size read if |S| = 1,
 else one engine join per pair of S, and s(K) the largest degree over K, or
 over K and its common neighbours.
 The public per-clique functions validate their clique; clique_star_profile
 reads the listed cliques through the unvalidated core of s(K).
-
-The caches hold what the verifiers of the graph in flight share: one engine
-and one matching table per graph, its clique listings per order, and one
-heaviest-path profile per weighting.  Other profiles are not cached.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -116,7 +112,6 @@ class PathEngine:
     def __init__(self, g: Graph):
         if g.n > TABLE_CAP:
             raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {g.n}")
-        self.g = g
         n = self.n = g.n
         self._sizes, self._without, self._blocks = _lattice(n)
         nbrs = [[v for v in range(n) if g.adj[u] >> v & 1] for u in range(n)]
@@ -217,10 +212,28 @@ class PathEngine:
         return out
 
 
-# The verifiers of the graph in flight read its engine, 45 times per n <= 7 class.
-@lru_cache(maxsize=4)
-def _engine(g: Graph) -> PathEngine:
-    return PathEngine(g)
+class TabledGraph(Graph):
+    """A Graph that keeps what the statistics build on it, each on its first
+    read: the path engine, the matching table, the clique listing of each
+    order and the heaviest-path profile of each weighting.  On a plain Graph
+    each call builds what it reads, and nothing is kept."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, g: Graph):
+        super().__init__(g.n, g.edges)
+        self.tables: dict = {}
+
+
+def _kept(g: Graph, build, *args, key=None):
+    """build(g, *args), kept on a TabledGraph g under key or (build, *args)."""
+    if not isinstance(g, TabledGraph):
+        return build(g, *args)
+    key = key or (build, *args)
+    kept = g.tables.get(key)  # no table is None
+    if kept is None:
+        kept = g.tables[key] = build(g, *args)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +242,26 @@ def _engine(g: Graph) -> PathEngine:
 
 def longest_path(g: Graph) -> int:
     """Number of edges of a longest simple path (0 for edgeless graphs)."""
-    return _engine(g).longest_path() if g.n else 0
+    return _kept(g, PathEngine).longest_path() if g.n else 0
 
 
 def longest_vpath(g: Graph, v: int) -> int:
     """ell_G(v): edges of a longest simple path starting at v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return _engine(g).vpath(v)
+    return _kept(g, PathEngine).vpath(v)
 
 
 def longest_path_through_edge(g: Graph, e: tuple[int, int]) -> int:
     """p(e): edges of a longest simple path using e.  Always >= 1."""
     a, b = g.check_edge(e)
-    return _engine(g).edge_path(a, b)
+    return _kept(g, PathEngine).edge_path(a, b)
 
 
 def longest_cycle_through_edge(g: Graph, e: tuple[int, int]) -> int:
     """c(e): vertices of a longest cycle using e, with c(e) = 2 for cut edges."""
     a, b = g.check_edge(e)
-    return _engine(g).edge_cycle(a, b)
+    return _kept(g, PathEngine).edge_cycle(a, b)
 
 
 def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
@@ -257,16 +270,16 @@ def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         raise ValueError("p_v(e) requires a connected graph")
-    return _engine(g).vpath_edges(v, [g.check_edge(e)])[0]
+    return _kept(g, PathEngine).vpath_edges(v, [g.check_edge(e)])[0]
 
 
 def path_profile(g: Graph) -> EdgeStatProfile:
-    eng = _engine(g)
+    eng = _kept(g, PathEngine)
     return EdgeStatProfile("p", {e: eng.edge_path(*e) for e in g.edges})
 
 
 def cycle_profile(g: Graph) -> EdgeStatProfile:
-    eng = _engine(g)
+    eng = _kept(g, PathEngine)
     return EdgeStatProfile("c", {e: eng.edge_cycle(*e) for e in g.edges})
 
 
@@ -275,7 +288,7 @@ def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(g):
         raise ValueError("p_v(e) requires a connected graph")
-    values = dict(zip(g.edges, _engine(g).vpath_edges(v, g.edges)))
+    values = dict(zip(g.edges, _kept(g, PathEngine).vpath_edges(v, g.edges)))
     return EdgeStatProfile("p_v", values, root=v)
 
 
@@ -293,8 +306,6 @@ def star_profile(g: Graph) -> EdgeStatProfile:
 # matchings
 
 
-# Read 12 times per n <= 7 class, and by gallai_edmonds for a few subgraphs.
-@lru_cache(maxsize=4)
 def match_table(g: Graph) -> tuple[int, ...]:
     """table[mask]: maximum matching size of the induced subgraph on mask."""
     if g.n > TABLE_CAP:
@@ -319,12 +330,12 @@ def match_table(g: Graph) -> tuple[int, ...]:
 
 
 def matching_number(g: Graph) -> int:
-    return match_table(g)[(1 << g.n) - 1] if g.n else 0
+    return _kept(g, match_table)[(1 << g.n) - 1]
 
 
 def max_matching(g: Graph) -> list[tuple[int, int]]:
     """One maximum matching, reconstructed deterministically from the table."""
-    table = match_table(g)
+    table = _kept(g, match_table)
     mask = (1 << g.n) - 1
     out: list[tuple[int, int]] = []
     while mask:
@@ -348,11 +359,12 @@ def max_matching(g: Graph) -> list[tuple[int, int]]:
 def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
     """mu(e): size of a largest matching that uses e; equals 1 + mu(G - u - v)."""
     u, v = g.check_edge(e)
-    table = match_table(g)
+    table = _kept(g, match_table)
     return 1 + table[((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)]
 
 
 def matching_profile(g: Graph) -> EdgeStatProfile:
+    g = g if isinstance(g, TabledGraph) else TabledGraph(g)  # one table for every edge
     return EdgeStatProfile("mu", {e: max_matching_containing_edge(g, e) for e in g.edges})
 
 
@@ -360,8 +372,6 @@ def matching_profile(g: Graph) -> EdgeStatProfile:
 # cliques
 
 
-# The clique verifiers of a graph ask for orders s - 1, s and s + 1 of each s.
-@lru_cache(maxsize=16)
 def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
     if s < 1:
         raise ValueError("clique order must be >= 1")
@@ -377,12 +387,12 @@ def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_cliques(g: Graph, s: int) -> list[tuple[int, ...]]:
     """All cliques on exactly s vertices, as sorted tuples in lex order."""
-    return list(_cliques(g, s))
+    return list(_kept(g, _cliques, s))
 
 
 def clique_count(g: Graph, s: int) -> int:
     """n_s(G): number of s-vertex cliques."""
-    return len(_cliques(g, s))
+    return len(_kept(g, _cliques, s))
 
 
 def _check_clique(g: Graph, vertices) -> tuple[tuple[int, ...], int]:
@@ -404,7 +414,7 @@ def longest_path_with_consecutive_clique(g: Graph, clique) -> int:
     """p(S): edges of a longest path whose vertex sequence contains all of S
     as one consecutive block (any internal order).  At least len(S) - 1."""
     vs, kmask = _check_clique(g, clique)
-    eng = _engine(g)
+    eng = _kept(g, PathEngine)
     s = len(vs)
     if s == 1:
         return eng.vertex_path(vs[0])
@@ -434,6 +444,7 @@ def _clique_star(g: Graph, vs: tuple[int, ...], require_center_in_clique: bool) 
 
 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
+    g = g if isinstance(g, TabledGraph) else TabledGraph(g)  # one engine for every clique
     values = {
         k: longest_path_with_consecutive_clique(g, k) for k in enumerate_cliques(g, s)
     }
@@ -443,7 +454,7 @@ def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
 def clique_star_profile(
     g: Graph, s: int, require_center_in_clique: bool = False
 ) -> CliqueStatProfile:
-    values = {k: _clique_star(g, k, require_center_in_clique) for k in _cliques(g, s)}
+    values = {k: _clique_star(g, k, require_center_in_clique) for k in _kept(g, _cliques, s)}
     return CliqueStatProfile("s_K", s, values)
 
 
@@ -520,14 +531,16 @@ def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
     return ws.pop() if len(ws) == 1 else None
 
 
-# weighted-mt and fmr read the profile of each of a graph's up to 64 weightings.
-@lru_cache(maxsize=64)
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
+    return _kept(wg.graph, _weighted_path_profile, wg, key=("w_p", *wg.weights.values()))
+
+
+def _weighted_path_profile(g: Graph, wg: WeightedGraph) -> EdgeStatProfile:
     c = _uniform_weight(wg)
     if c is None:
         return EdgeStatProfile("w_p", _heaviest_through_edges(wg))
-    lengths = path_profile(wg.graph).values
+    lengths = path_profile(g).values
     return EdgeStatProfile("w_p", {e: c * p for e, p in lengths.items()})
 
 

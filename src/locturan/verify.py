@@ -42,9 +42,6 @@ witness, censuses equality cases, cross-checks equality against
 family_match in both directions wherever it is set, and hard-fails on any
 negative slack or family mismatch.
 
-gt-path and gt-star sum the clique profiles of stats, which read one cached
-clique listing per graph and order, shared with the counts that delta takes.
-
 A verifier computes only its bound.  The driver, reports_for_graph, sets
 graph6 on every report and the weighting label on weighted ones; a verifier
 called directly leaves graph6 as "".
@@ -54,7 +51,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Sequence
@@ -73,6 +69,7 @@ from .graphs import (
 )
 from .rationals import as_fraction, format_rational
 from .stats import (
+    TabledGraph,
     clique_count,
     clique_path_profile,
     clique_star_profile,
@@ -107,12 +104,10 @@ class VerificationReport:
     family_match: bool | None = None
     witness: dict | None = None
     reason: str | None = None
+    slack: Fraction | None = field(init=False)
 
-    @cached_property  # read by equality, to_dict and the corpus tally
-    def slack(self) -> Fraction | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
+    def __post_init__(self) -> None:
+        self.slack = None if self.lhs is None or self.rhs is None else self.rhs - self.lhs
 
     @property
     def equality(self) -> bool:
@@ -498,13 +493,13 @@ def weightings(
     """The weightings of g that the weighted verifiers run on, with labels.
 
     "unit" gives unit weights; "random" gives `trials` seeded weightings,
-    trial t drawn from crc32(f"{seed}|{graph6}|{t}"); a WeightedGraph on g
-    itself is used as given, labelled "file".
+    trial t drawn from crc32(f"{seed}|{graph6}|{t}"); a WeightedGraph on a
+    graph equal to g gives its weights to g, labelled "file".
     """
     if isinstance(weights, WeightedGraph):
         if weights.graph != g:
             raise ValueError("weighted graph differs from input graph")
-        return [(weights, "file")]
+        return [(WeightedGraph(g, weights.weights), "file")]
     if weights == "unit":
         return [(WeightedGraph.unit(g), "unit")]
     if weights != "random":
@@ -525,10 +520,11 @@ def reports_for_graph(g: Graph, cfg: CorpusConfig) -> list[VerificationReport]:
     This is the one place that names a report: g is encoded in graph6
     once, and its weightings are derived once (only if a weighted theorem
     is configured); every report gets that graph6 and every weighted report
-    its weighting's label.  A failed self-check (RuntimeError) is re-raised
+    its weighting's label.  The verifiers get g as one TabledGraph, so they
+    share its tables.  A failed self-check (RuntimeError) is re-raised
     naming the theorem, g and its root, s or weighting, so that the failing
     case can be replayed."""
-    g6 = write_graph6(g)
+    g, g6 = TabledGraph(g), write_graph6(g)
     weighted = []
     if any(_KIND[thm] == WEIGHTED for thm in cfg.theorems):
         weighted = weightings(g, cfg.weights, cfg.seed, cfg.trials)

@@ -703,6 +703,31 @@ def test_weights_file_without_file_weights_is_rejected(tmp_path, argv):
     assert err == "error: --weights-file requires --weights file\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "weighted-mt", "--trials", "3"],
+    ["--theorem", "fmr", "--weights", "unit", "--trials", "2"],
+], ids=["default-unit", "unit"])
+def test_trials_without_random_weights_is_rejected(argv):
+    """Only random weights draw one weighting per trial; under unit weights
+    --trials would be dropped and each graph checked once."""
+    code, out, err = run_cli(["verify", "--n", "3"] + argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --trials requires --weights random\n"
+
+
+@pytest.mark.parametrize("theorems", [[","], [""], [" , ", ""]],
+                         ids=["comma", "empty", "two-flags"])
+def test_empty_theorem_list_is_rejected(theorems):
+    """An explicitly empty --theorem list names no theorem; it does not
+    stand for all of them."""
+    argv = ["verify", "--n", "3"]
+    for chunk in theorems:
+        argv += ["--theorem", chunk]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --theorem names no theorem; give ids or 'all'\n"
+
+
 def test_stats_rejects_input_beside_weights_file(tmp_path):
     """stats reports on one graph source; the weights file's graph would
     silently replace the --input graphs."""

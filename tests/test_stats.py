@@ -46,8 +46,10 @@ from locturan.graphs import (
     star_graph,
     write_graph6,
 )
+import locturan.stats as stats
 from locturan.stats import (
     PathEngine,
+    TabledGraph,
     clique_count,
     clique_path_profile,
     clique_star_profile,
@@ -59,7 +61,6 @@ from locturan.stats import (
     longest_path_with_consecutive_clique,
     longest_vpath,
     longest_vpath_through_edge,
-    match_table,
     matching_number,
     matching_profile,
     max_matching,
@@ -74,8 +75,6 @@ from locturan.stats import (
     vpath_profile,
     weighted_path_profile,
     weighted_path_ratios,
-    _cliques,
-    _engine,
     _heaviest_cycle,
     _heaviest_through_edges,
 )
@@ -283,7 +282,8 @@ def test_clique_stats_match_naive_n5():
                 assert pcp[clique] == naive_p_clique(g, clique)
 
 
-def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
+def engine_builds(monkeypatch) -> list:
+    """The graphs that PathEngines are built on from now on."""
     built = []
     init = PathEngine.__init__
 
@@ -292,42 +292,54 @@ def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
         init(self, g)
 
     monkeypatch.setattr(PathEngine, "__init__", counting_init)
-    _engine.cache_clear()
+    return built
+
+
+def test_rooted_and_clique_profiles_share_one_engine(monkeypatch):
+    built = engine_builds(monkeypatch)
     g = parse_graph6("FCZbg")
     assert is_connected(g) and clique_count(g, 3) == 2
+    cfg = CorpusConfig(("gt-path", "local-bbrs"), s_values=(3,))
+    assert all(r.status == "ok" for r in reports_for_graph(g, cfg))
+    assert built == [g]
+    # a plain Graph keeps nothing, so each profile builds its own engine
     clique_path_profile(g, 3)
     vpath_profile(g, 0)
-    assert built == [g]
+    assert built == [g, g, g]
 
 
-def test_mt_and_unit_weighted_mt_read_equal_path_sums():
+def test_mt_and_unit_weighted_mt_read_equal_path_sums(monkeypatch):
+    built = engine_builds(monkeypatch)
     g = join_graphs(complete_graph(2), cycle_graph(5))
-    weighted_path_profile.cache_clear()
     reports = reports_for_graph(g, CorpusConfig(("mt", "weighted-mt")))
     assert [r.status for r in reports] == ["ok", "ok"]
     assert reports[0].lhs == reports[1].lhs
+    assert built == [g]
 
 
-def test_every_verifier_of_a_class_shares_one_engine_and_matching_table():
-    """The capped caches hold the working set of the graph in flight: over
-    the 208 classes with n <= 6, each engine and matching table is built once."""
-    _engine.cache_clear()
-    match_table.cache_clear()
+def test_every_verifier_of_a_class_shares_one_engine_and_matching_table(monkeypatch):
+    """Each graph's verifiers share one TabledGraph: over the 208 classes
+    with n <= 6, each engine and matching table is built once."""
+    built = engine_builds(monkeypatch)
+    tables = []
+    real = stats.match_table
+    monkeypatch.setattr(stats, "match_table", lambda g: tables.append(g) or real(g))
     assert verify_corpus(ALL_THEOREMS, ns=range(1, 7)).ok
-    assert _engine.cache_info().misses == 208
-    assert match_table.cache_info().misses == 208
+    assert len(built) == len(tables) == 208
+    assert all(isinstance(g, TabledGraph) for g in built + tables)
 
 
-def test_clique_verifiers_share_one_listing_per_order():
+def test_clique_verifiers_share_one_listing_per_order(monkeypatch):
     """gt-path, gt-star and delta at s = 2, 3, 4 ask for orders 1 to 5; each
     (graph, order) listing is built once."""
+    orders = []
+    real = stats._cliques
+    monkeypatch.setattr(stats, "_cliques", lambda g, s: orders.append(s) or real(g, s))
     g = join_graphs(complete_graph(2), cycle_graph(5))
     cfg = CorpusConfig(("gt-path", "gt-star", "delta"), s_values=(2, 3, 4))
-    _cliques.cache_clear()
     reports = reports_for_graph(g, cfg)
     assert [r.status for r in reports] == ["ok"] * 9
-    info = _cliques.cache_info()
-    assert (info.misses, info.currsize) == (5, 5)
+    assert sorted(orders) == [1, 2, 3, 4, 5]
 
 
 def test_matching_numbers_match_naive_n5():
@@ -603,8 +615,6 @@ def test_weighted_unit_reduction():
 def test_uniform_weightings_run_no_subset_dp(monkeypatch):
     """Equal weights are read from the path engine; any other weighting
     runs the subset DP."""
-    import locturan.stats as stats
-
     runs = []
     real = stats._heaviest
 
@@ -613,7 +623,6 @@ def test_uniform_weightings_run_no_subset_dp(monkeypatch):
         return real(nbrs, roots)
 
     monkeypatch.setattr(stats, "_heaviest", counted)
-    weighted_path_profile.cache_clear()
     g = complete_graph(5)
     for c in (1, Fraction(3, 2), 0):
         wg = WeightedGraph(g, {e: c for e in g.edges})
@@ -636,13 +645,26 @@ def test_weighted_path_ratios_give_zero_on_zero_weight_edges():
     assert weighted_path_ratios(zero) == {e: 0 for e in tri.edges}
 
 
-def test_equal_weighted_graphs_hash_equal_and_share_one_profile():
-    g = complete_graph(4)
+def test_equal_weightings_of_one_graph_share_one_profile(monkeypatch):
+    """A TabledGraph keeps one heaviest-path profile per weighting, equal
+    weightings included, and the driver puts a file weighting on it; a
+    plain Graph keeps none."""
+    roots = []
+    real = stats._heaviest
+    monkeypatch.setattr(stats, "_heaviest", lambda nbrs, r: roots.append(r) or real(nbrs, r))
+    g = TabledGraph(complete_graph(4))
     a = seeded_weights(g, 11)
-    b = WeightedGraph(Graph(4, g.edges), dict(a.weights))
-    assert a == b and a is not b and hash(a) == hash(b)
-    assert len({a, b, WeightedGraph.unit(g)}) == 2
+    b = WeightedGraph(g, dict(a.weights))
+    assert a == b and a is not b
     assert weighted_path_profile(a) is weighted_path_profile(b)
+    assert roots == [range(4)]
+    plain = seeded_weights(complete_graph(4), 11)
+    assert weighted_path_profile(plain) == weighted_path_profile(a)
+    assert weighted_path_profile(plain) is not weighted_path_profile(plain)
+    assert roots == [range(4)] * 4
+    cfg = CorpusConfig(("weighted-mt", "fmr"), weights=plain)
+    assert [r.weights for r in reports_for_graph(complete_graph(4), cfg)] == ["file"] * 2
+    assert roots == [range(4)] * 5
 
 
 def test_weighted_stats_reject_over_cap_graph():

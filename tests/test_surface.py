@@ -20,6 +20,9 @@ LIBRARY_ONLY = frozenset({
     "longest_path_through_edge", "longest_cycle_through_edge",
     "longest_vpath_through_edge", "max_weight_path_through_edge",
     "weighted_path_ratios", "max_matching", "max_star_over_clique",
+    # subgraph and factor-criticality queries; ge reads both from one
+    # matching table
+    "induced_subgraph", "is_factor_critical",
 })
 
 

@@ -797,9 +797,8 @@ def test_corpus_config_rejects_repeated_clique_order():
         verify_corpus(("delta",), ns=(3,), s_values=(3, 2, 3))
 
 
-def test_weighted_verifiers_share_one_heaviest_path_run_per_weighting(monkeypatch):
-    """weighted-mt and fmr read one cached profile per weighting, so the
-    all-roots forward DP runs once per weighting, not once per theorem."""
+def all_roots_dp_runs(monkeypatch) -> list:
+    """The order of the graph of each all-roots heaviest-path DP from now on."""
     import locturan.stats as stats
 
     runs = []
@@ -811,11 +810,27 @@ def test_weighted_verifiers_share_one_heaviest_path_run_per_weighting(monkeypatc
         return real(nbrs, roots)
 
     monkeypatch.setattr(stats, "_heaviest", counted)
-    stats.weighted_path_profile.cache_clear()
+    return runs
+
+
+def test_weighted_verifiers_share_one_heaviest_path_run_per_weighting(monkeypatch):
+    """weighted-mt and fmr read one kept profile per weighting, so the
+    all-roots forward DP runs once per weighting, not once per theorem."""
+    runs = all_roots_dp_runs(monkeypatch)
     cfg = CorpusConfig(("weighted-mt", "fmr"), weights="random", seed=5, trials=2)
     reports = reports_for_graph(complete_graph(5), cfg)
     assert [r.theorem for r in reports] == ["weighted-mt"] * 2 + ["fmr"] * 2
     assert runs == [5, 5]
+
+
+def test_many_weightings_of_one_graph_run_the_dp_once_each(monkeypatch):
+    """No cache size bounds the weightings of a graph: 65 random weightings
+    of K6 run the all-roots DP 65 times, for weighted-mt and fmr together."""
+    runs = all_roots_dp_runs(monkeypatch)
+    cfg = CorpusConfig(("weighted-mt", "fmr"), weights="random", seed=5, trials=65)
+    reports = reports_for_graph(complete_graph(6), cfg)
+    assert [r.status for r in reports] == ["ok"] * 130
+    assert runs == [6] * 65
 
 
 def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
