@@ -45,7 +45,6 @@ from .stats import (
     clique_path_profile,
     clique_star_profile,
     cycle_profile,
-    matching_number,
     matching_profile,
     path_profile,
     star_profile,
@@ -177,8 +176,11 @@ def _parse_s_list(spec: str) -> tuple[int, ...]:
 
 
 def _check_seed(args: argparse.Namespace) -> None:
+    """--weights random and --seed come together, or neither is given."""
     if args.weights == "random" and args.seed is None:
         raise UsageError("--weights random requires --seed")
+    if args.seed is not None and args.weights != "random":
+        raise UsageError("--seed requires --weights random")
 
 
 def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
@@ -281,7 +283,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise UsageError(f"--s must be >= 1, got {args.s}")
     if args.stat == "p_v" and args.root is None:
         raise UsageError("stat p_v requires --root")
-    if args.stat == "w_p":
+    if args.stat == "w_p" or args.seed is not None:
         _check_seed(args)
     if args.input is not None and args.weights == "file":
         raise UsageError("stats takes one graph source, got --input and --weights file")
@@ -476,7 +478,7 @@ def cmd_ge(args: argparse.Namespace) -> int:
     records = []
     for g in graphs:
         dec = gallai_edmonds(g)
-        mu = matching_number(g)
+        deficiency = len(dec.d_components) - len(dec.a)  # verified by gallai_edmonds
         records.append(
             {
                 "graph6": write_graph6(g),
@@ -487,8 +489,8 @@ def cmd_ge(args: argparse.Namespace) -> int:
                     "-".join(map(str, comp)) for comp in dec.d_components
                 )
                 or None,
-                "matching_number": mu,
-                "deficiency": g.n - 2 * mu,
+                "matching_number": (g.n - deficiency) // 2,
+                "deficiency": deficiency,
             }
         )
     fields = ("graph6", "d", "a", "c", "components", "matching_number", "deficiency")

@@ -135,7 +135,7 @@ def find_spdc(g: Graph) -> PathDoubleCover:
         if target is None:
             return True
         left = n - len(chosen)
-        if sum(demand.values()) > left * (n - 1) or max(load) > 2 * left:
+        if max(load) > 2 * left:
             return False
         state = (len(chosen), tuple(demand.values()))
         if state in failed:

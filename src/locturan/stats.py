@@ -45,6 +45,12 @@ over K and its common neighbours.
 The public per-clique functions validate their clique; clique_star_profile
 reads the listed cliques through the unvalidated core of s(K).
 
+The edge profiles read their tables in place: p(e) and c(e) the engine,
+mu(e) = 1 + mu(G - u - v) the matching table, and s(e) the two degrees.  A
+TabledGraph keeps the engine, the matching table, the p(e) and c(e)
+profiles and the connectivity answer of p_v(e), so a second reader of any
+of them builds nothing.
+
 Everything returns ints or Fractions; no floats anywhere.
 """
 
@@ -214,15 +220,16 @@ class PathEngine:
 
 class TabledGraph(Graph):
     """A Graph that keeps what the statistics build on it, each on its first
-    read: the path engine, the matching table, the clique listing of each
-    order and the heaviest-path profile of each weighting.  On a plain Graph
-    each call builds what it reads, and nothing is kept."""
+    read: the path engine, the matching table, the p(e) and c(e) profiles,
+    whether the graph is connected, the clique listing of each order and the
+    heaviest-path profile of each weighting.  It shares g's vertex count,
+    adjacency and edges as built.  On a plain Graph each call builds what it
+    reads, and nothing is kept."""
 
     __slots__ = ("tables",)
 
     def __init__(self, g: Graph):
-        super().__init__(g.n, g.edges)
-        self.tables: dict = {}
+        self.n, self.adj, self.edges, self.tables = g.n, g.adj, g.edges, {}
 
 
 def _kept(g: Graph, build, *args, key=None):
@@ -268,25 +275,28 @@ def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
     """p_v(e): edges of a longest simple path starting at v and using e."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    if not is_connected(g):
+    if not _kept(g, is_connected):
         raise ValueError("p_v(e) requires a connected graph")
     return _kept(g, PathEngine).vpath_edges(v, [g.check_edge(e)])[0]
 
 
 def path_profile(g: Graph) -> EdgeStatProfile:
-    eng = _kept(g, PathEngine)
-    return EdgeStatProfile("p", {e: eng.edge_path(*e) for e in g.edges})
+    return _kept(g, _edge_profile, "p", PathEngine.edge_path)
 
 
 def cycle_profile(g: Graph) -> EdgeStatProfile:
+    return _kept(g, _edge_profile, "c", PathEngine.edge_cycle)
+
+
+def _edge_profile(g: Graph, kind: str, query) -> EdgeStatProfile:
     eng = _kept(g, PathEngine)
-    return EdgeStatProfile("c", {e: eng.edge_cycle(*e) for e in g.edges})
+    return EdgeStatProfile(kind, {e: query(eng, *e) for e in g.edges})
 
 
 def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    if not is_connected(g):
+    if not _kept(g, is_connected):
         raise ValueError("p_v(e) requires a connected graph")
     values = dict(zip(g.edges, _kept(g, PathEngine).vpath_edges(v, g.edges)))
     return EdgeStatProfile("p_v", values, root=v)
@@ -299,7 +309,7 @@ def star_size_through_edge(g: Graph, e: tuple[int, int]) -> int:
 
 
 def star_profile(g: Graph) -> EdgeStatProfile:
-    return EdgeStatProfile("s", {e: star_size_through_edge(g, e) for e in g.edges})
+    return EdgeStatProfile("s", {(u, v): max(g.degree(u), g.degree(v)) for u, v in g.edges})
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +374,8 @@ def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
 
 
 def matching_profile(g: Graph) -> EdgeStatProfile:
-    g = g if isinstance(g, TabledGraph) else TabledGraph(g)  # one table for every edge
-    return EdgeStatProfile("mu", {e: max_matching_containing_edge(g, e) for e in g.edges})
+    table, full = _kept(g, match_table), (1 << g.n) - 1
+    return EdgeStatProfile("mu", {(u, v): 1 + table[full ^ 1 << u ^ 1 << v] for u, v in g.edges})
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +456,7 @@ def _clique_star(g: Graph, vs: tuple[int, ...], require_center_in_clique: bool) 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
     g = g if isinstance(g, TabledGraph) else TabledGraph(g)  # one engine for every clique
     values = {
-        k: longest_path_with_consecutive_clique(g, k) for k in enumerate_cliques(g, s)
+        k: longest_path_with_consecutive_clique(g, k) for k in _kept(g, _cliques, s)
     }
     return CliqueStatProfile("p_S", s, values)
 

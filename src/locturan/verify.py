@@ -44,7 +44,10 @@ negative slack or family mismatch.
 
 A verifier computes only its bound.  The driver, reports_for_graph, sets
 graph6 on every report and the weighting label on weighted ones; a verifier
-called directly leaves graph6 as "".
+called directly leaves graph6 as "".  Called on a plain Graph, a verifier
+builds the tables of each statistic it reads anew; the driver wraps g in one
+stats.TabledGraph, so all its verifiers share one set.  Wrap g the same way
+before calling verifiers directly.
 """
 
 from __future__ import annotations

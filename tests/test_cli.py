@@ -26,6 +26,7 @@ from locturan.graphs import (
     Graph,
     WeightedGraph,
     complete_graph,
+    enumerate_graphs,
     parse_graph6,
     star_graph,
     write_graph6,
@@ -715,6 +716,20 @@ def test_trials_without_random_weights_is_rejected(argv):
     assert err == "error: --trials requires --weights random\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "weighted-mt", "--n", "3", "--seed", "5"],
+    ["stats", "--stat", "w_p", "--seed", "5"],
+    ["stats", "--stat", "p", "--weights", "unit", "--seed", "5"],
+    ["spdc", "--seed", "5"],
+], ids=["verify", "stats-w_p", "stats-p", "spdc"])
+def test_seed_without_random_weights_is_rejected(argv):
+    """Only random weights read a seed; under unit weights --seed would be
+    dropped.  The error comes before any output, even on empty input."""
+    code, out, err = run_cli(argv, stdin="")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed requires --weights random\n"
+
+
 @pytest.mark.parametrize("theorems", [[","], [""], [" , ", ""]],
                          ids=["comma", "empty", "two-flags"])
 def test_empty_theorem_list_is_rejected(theorems):
@@ -797,6 +812,25 @@ def test_ge_partition_record():
         "matching_number": 1,
         "deficiency": 2,
     }
+
+
+def test_ge_builds_one_matching_table_per_graph(monkeypatch):
+    """ge reads the matching number and deficiency from the decomposition
+    that gallai_edmonds verifies, so each graph gets one matching table."""
+    built = []
+    real = locturan.stats.match_table
+
+    def counted(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr("locturan.stats.match_table", counted)
+    monkeypatch.setattr("locturan.matching.match_table", counted)
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    code, out, _ = run_cli(["ge", "--format", "csv"],
+                           stdin="".join(write_graph6(g) + "\n" for g in graphs))
+    assert code == 0 and len(out.splitlines()) == len(graphs) + 1
+    assert built == graphs
 
 
 def test_ge_rejects_over_cap_graph():

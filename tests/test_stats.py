@@ -329,6 +329,49 @@ def test_every_verifier_of_a_class_shares_one_engine_and_matching_table(monkeypa
     assert all(isinstance(g, TabledGraph) for g in built + tables)
 
 
+def test_each_table_of_a_class_is_built_once(monkeypatch):
+    """Over the 208 classes with n <= 6, reports_for_graph builds one path
+    engine, one matching table, one p(e) profile and one c(e) profile per
+    graph, tests connectivity inside the statistics at most once, and wraps
+    the graph without constructing it again."""
+    engines = engine_builds(monkeypatch)
+    built = []
+
+    def counting(name, key=lambda *args: ()):
+        real = getattr(stats, name)
+
+        def counted(*args, **kwargs):
+            built.append((name, *key(*args)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stats, name, counted)
+
+    counting("match_table")
+    counting("is_connected")
+    counting("EdgeStatProfile", lambda kind, *rest: (kind,))
+    wrapped = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        wrapped.append(isinstance(self, TabledGraph))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert len(graphs) == 208
+    cfg = CorpusConfig(ALL_THEOREMS)
+    for g in graphs:
+        engines.clear()
+        built.clear()
+        assert all(r.status != "violated" for r in reports_for_graph(g, cfg))
+        assert len(engines) == 1
+        assert built.count(("match_table",)) == 1
+        assert built.count(("EdgeStatProfile", "p")) == 1
+        assert built.count(("EdgeStatProfile", "c")) == 1
+        assert built.count(("is_connected",)) <= 1
+    assert not any(wrapped)
+
+
 def test_clique_verifiers_share_one_listing_per_order(monkeypatch):
     """gt-path, gt-star and delta at s = 2, 3, 4 ask for orders 1 to 5; each
     (graph, order) listing is built once."""

@@ -20,6 +20,7 @@ LIBRARY_ONLY = frozenset({
     "longest_path_through_edge", "longest_cycle_through_edge",
     "longest_vpath_through_edge", "max_weight_path_through_edge",
     "weighted_path_ratios", "max_matching", "max_star_over_clique",
+    "max_matching_containing_edge", "star_size_through_edge", "enumerate_cliques",
     # subgraph and factor-criticality queries; ge reads both from one
     # matching table
     "induced_subgraph", "is_factor_critical",
