@@ -86,7 +86,7 @@ def _read_text(path: str | None) -> str:
 
 def _read_graphs(path: str | None, capped: bool = False) -> list[Graph]:
     graphs = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -208,8 +208,8 @@ def _weighting(
     return weightings(g, weights, seed)[0]
 
 
-def _edge_label(e: tuple[int, int]) -> str:
-    return f"{e[0]}-{e[1]}"
+def _item_label(item: tuple[int, ...]) -> str:
+    return "-".join(map(str, item))
 
 
 def _emit_records(
@@ -259,23 +259,19 @@ def _stat_records(
 ) -> Iterator[dict]:
     for g in graphs:
         base = {"graph6": write_graph6(g), "stat": args.stat}
+        extra = {}
         if args.stat in ("p_S", "s_K"):
             prof_fn = clique_path_profile if args.stat == "p_S" else clique_star_profile
-            for clique, val in prof_fn(g, args.s).values.items():
-                item = "-".join(str(v) for v in clique)
-                yield base | {"item": item, "s": args.s, "value": str(val)}
-            continue
-        extra = {}
-        if args.stat == "p_v":
+            prof, extra = prof_fn(g, args.s), {"s": args.s}
+        elif args.stat == "p_v":
             prof, extra = vpath_profile(g, args.root), {"root": args.root}
         elif args.stat == "w_p":
             wg, label = _weighting(g, weights, args.seed)
             prof, extra = weighted_path_profile(wg), {"weights": label}
         else:
             prof = _EDGE_STATS[args.stat](g)
-        for e in g.edges:
-            value = format_rational(prof.values[e])
-            yield base | {"item": _edge_label(e)} | extra | {"value": value}
+        for item, value in prof.values.items():
+            yield base | {"item": _item_label(item)} | extra | {"value": format_rational(value)}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -283,6 +279,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise UsageError(f"--s must be >= 1, got {args.s}")
     if args.stat == "p_v" and args.root is None:
         raise UsageError("stat p_v requires --root")
+    if args.weights == "random" and args.stat != "w_p":
+        raise UsageError("--weights random applies only to --stat w_p")
     if args.stat == "w_p" or args.seed is not None:
         _check_seed(args)
     if args.input is not None and args.weights == "file":
@@ -465,7 +463,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
                 "graph6": write_graph6(g),
                 "k": args.k,
                 "closure": write_graph6(h),
-                "added": "|".join(_edge_label(e) for e in res.added_edges),
+                "added": "|".join(map(_item_label, res.added_edges)),
             }
         )
     with _output(args.output) as out:

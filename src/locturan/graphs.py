@@ -493,7 +493,7 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the "n m" header plus "u v p/q" line format."""
     rows = [
         (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
+        for i, line in enumerate(text.split("\n"))
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not rows:

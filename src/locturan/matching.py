@@ -29,9 +29,12 @@ def is_factor_critical(g: Graph) -> bool:
     """
     if g.n % 2 == 0:
         return g.n == 0
-    table = match_table(g)
-    full = (1 << g.n) - 1
-    return all(2 * table[full ^ 1 << v] == g.n - 1 for v in range(g.n))
+    return _factor_critical(match_table(g), (1 << g.n) - 1)
+
+
+def _factor_critical(table: tuple[int, ...], m: int) -> bool:
+    """Whether each G[m - v] has a perfect matching, by G's matching table."""
+    return all(2 * table[m ^ 1 << v] == m.bit_count() - 1 for v in mask_vertices(m))
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,8 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
     a = tuple(mask_vertices(amask))
     c = tuple(mask_vertices(cmask))
 
-    for m in comp_masks:
-        if any(2 * table[m ^ 1 << v] != m.bit_count() - 1 for v in mask_vertices(m)):
-            raise RuntimeError("decomposition re-verification failed: D component not factor-critical")
+    if not all(_factor_critical(table, m) for m in comp_masks):
+        raise RuntimeError("decomposition re-verification failed: D component not factor-critical")
     if 2 * table[cmask] != len(c):
         raise RuntimeError("decomposition re-verification failed: C side not perfectly matchable")
     if not _a_matches_into_components(g, a, comp_masks):

@@ -39,17 +39,16 @@ denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
 gives the heaviest cycle.  Each result is divided by d once.
 
 clique_count and both clique profiles read the listing of the s-vertex
-cliques.  p(S) takes one size read if |S| = 1,
-else one engine join per pair of S, and s(K) the largest degree over K, or
-over K and its common neighbours.
-The public per-clique functions validate their clique; clique_star_profile
-reads the listed cliques through the unvalidated core of s(K).
+cliques.  p(S) takes one size read if |S| = 1, else one engine join per
+pair of S, and s(K) the largest degree over K, or over K and its common
+neighbours.
 
 The edge profiles read their tables in place: p(e) and c(e) the engine,
-mu(e) = 1 + mu(G - u - v) the matching table, and s(e) the two degrees.  A
-TabledGraph keeps the engine, the matching table, the p(e) and c(e)
-profiles and the connectivity answer of p_v(e), so a second reader of any
-of them builds nothing.
+mu(e) = 1 + mu(G - u - v) the matching table, and s(e) the two degrees.
+Each profile is the one builder of its statistic: the per-edge forms and
+s(K) of one clique check their item and read it there.  A TabledGraph keeps
+the engine, the matching table, each profile but p(S)'s and the connectivity
+answer of p_v(e), so a second reader of any of them builds nothing.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from itertools import combinations
 from math import lcm
 from operator import and_, or_
@@ -220,7 +219,7 @@ class PathEngine:
 
 class TabledGraph(Graph):
     """A Graph that keeps what the statistics build on it, each on its first
-    read: the path engine, the matching table, the p(e) and c(e) profiles,
+    read: the path engine, the matching table, the edge and s(K) profiles,
     whether the graph is connected, the clique listing of each order and the
     heaviest-path profile of each weighting.  It shares g's vertex count,
     adjacency and edges as built.  On a plain Graph each call builds what it
@@ -243,6 +242,15 @@ def _kept(g: Graph, build, *args, key=None):
     return kept
 
 
+def _tabled(build):
+    """build, kept on a TabledGraph g by _kept under its positional arguments;
+    a call that names an argument builds, as on a plain Graph."""
+    @wraps(build)
+    def kept(g, *args, **kwargs):
+        return build(g, *args, **kwargs) if kwargs else _kept(g, build, *args)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # unweighted path and cycle statistics
 
@@ -261,38 +269,34 @@ def longest_vpath(g: Graph, v: int) -> int:
 
 def longest_path_through_edge(g: Graph, e: tuple[int, int]) -> int:
     """p(e): edges of a longest simple path using e.  Always >= 1."""
-    a, b = g.check_edge(e)
-    return _kept(g, PathEngine).edge_path(a, b)
+    e = g.check_edge(e)
+    return path_profile(g).values[e]
 
 
 def longest_cycle_through_edge(g: Graph, e: tuple[int, int]) -> int:
     """c(e): vertices of a longest cycle using e, with c(e) = 2 for cut edges."""
-    a, b = g.check_edge(e)
-    return _kept(g, PathEngine).edge_cycle(a, b)
+    e = g.check_edge(e)
+    return cycle_profile(g).values[e]
 
 
 def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
     """p_v(e): edges of a longest simple path starting at v and using e."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if not _kept(g, is_connected):
-        raise ValueError("p_v(e) requires a connected graph")
-    return _kept(g, PathEngine).vpath_edges(v, [g.check_edge(e)])[0]
+    return vpath_profile(g, v).values[g.check_edge(e)]
 
 
+@_tabled
 def path_profile(g: Graph) -> EdgeStatProfile:
-    return _kept(g, _edge_profile, "p", PathEngine.edge_path)
-
-
-def cycle_profile(g: Graph) -> EdgeStatProfile:
-    return _kept(g, _edge_profile, "c", PathEngine.edge_cycle)
-
-
-def _edge_profile(g: Graph, kind: str, query) -> EdgeStatProfile:
     eng = _kept(g, PathEngine)
-    return EdgeStatProfile(kind, {e: query(eng, *e) for e in g.edges})
+    return EdgeStatProfile("p", {(a, b): eng.edge_path(a, b) for a, b in g.edges})
 
 
+@_tabled
+def cycle_profile(g: Graph) -> EdgeStatProfile:
+    eng = _kept(g, PathEngine)
+    return EdgeStatProfile("c", {(a, b): eng.edge_cycle(a, b) for a, b in g.edges})
+
+
+@_tabled
 def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
@@ -304,10 +308,11 @@ def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
 
 def star_size_through_edge(g: Graph, e: tuple[int, int]) -> int:
     """s(e): leaves of a largest star subgraph containing e."""
-    u, v = g.check_edge(e)
-    return max(g.degree(u), g.degree(v))
+    e = g.check_edge(e)
+    return star_profile(g).values[e]
 
 
+@_tabled
 def star_profile(g: Graph) -> EdgeStatProfile:
     return EdgeStatProfile("s", {(u, v): max(g.degree(u), g.degree(v)) for u, v in g.edges})
 
@@ -368,11 +373,11 @@ def max_matching(g: Graph) -> list[tuple[int, int]]:
 
 def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
     """mu(e): size of a largest matching that uses e; equals 1 + mu(G - u - v)."""
-    u, v = g.check_edge(e)
-    table = _kept(g, match_table)
-    return 1 + table[((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)]
+    e = g.check_edge(e)
+    return matching_profile(g).values[e]
 
 
+@_tabled
 def matching_profile(g: Graph) -> EdgeStatProfile:
     table, full = _kept(g, match_table), (1 << g.n) - 1
     return EdgeStatProfile("mu", {(u, v): 1 + table[full ^ 1 << u ^ 1 << v] for u, v in g.edges})
@@ -443,14 +448,7 @@ def max_star_over_clique(g: Graph, clique, require_center_in_clique: bool = Fals
     strict variant restricts centers to K.
     """
     vs, _ = _check_clique(g, clique)
-    return _clique_star(g, vs, require_center_in_clique)
-
-
-def _clique_star(g: Graph, vs: tuple[int, ...], require_center_in_clique: bool) -> int:
-    """s(K) for a clique K given as its vertices: the largest degree over K,
-    or over K and the common neighbours of K."""
-    common = 0 if require_center_in_clique else reduce(and_, (g.adj[v] for v in vs))
-    return max(g.degree(c) for c in (*vs, *mask_vertices(common)))
+    return clique_star_profile(g, len(vs), require_center_in_clique).values[vs]
 
 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
@@ -461,10 +459,16 @@ def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
     return CliqueStatProfile("p_S", s, values)
 
 
+@_tabled
 def clique_star_profile(
     g: Graph, s: int, require_center_in_clique: bool = False
 ) -> CliqueStatProfile:
-    values = {k: _clique_star(g, k, require_center_in_clique) for k in _kept(g, _cliques, s)}
+    """s(K) of each s-clique K: the largest degree over K, or over K and the
+    common neighbours of K."""
+    values = {}
+    for k in _kept(g, _cliques, s):
+        common = 0 if require_center_in_clique else reduce(and_, (g.adj[v] for v in k))
+        values[k] = max(g.degree(c) for c in (*k, *mask_vertices(common)))
     return CliqueStatProfile("s_K", s, values)
 
 

@@ -70,7 +70,7 @@ from .graphs import (
     seeded_weights,
     write_graph6,
 )
-from .rationals import as_fraction, format_rational
+from .rationals import format_rational
 from .stats import (
     TabledGraph,
     clique_count,
@@ -148,8 +148,11 @@ def report_csv_row(rep: VerificationReport) -> list[str]:
 
 
 def _bound(theorem: str, lhs: Fraction, rhs: Fraction, **kw) -> VerificationReport:
+    """The report on lhs <= rhs; an int side becomes a Fraction, a Fraction is not copied."""
+    lhs = lhs if type(lhs) is Fraction else Fraction(lhs)
+    rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
     status = OK if lhs <= rhs else VIOLATED
-    return VerificationReport(theorem, "", status, as_fraction(lhs), as_fraction(rhs), **kw)
+    return VerificationReport(theorem, "", status, lhs, rhs, **kw)
 
 
 def _skipped(theorem: str, reason: str, **kw) -> VerificationReport:

@@ -210,6 +210,20 @@ def test_stats_input_errors_carry_line_numbers(tmp_path):
     assert code == 2 and "line 4" in err
 
 
+@pytest.mark.parametrize("stdin, message", [
+    ("Bw\x1cBw\n", "line 1"),
+    ("Bw\fBw\nBx\n", "line 1"),
+    ("Bw\f\nBx\n", "line 2"),
+    ("Bw\r\nBx\r\n", "line 2"),
+], ids=["separator", "form-feed-in-line", "form-feed-at-end", "crlf"])
+def test_stats_input_lines_end_only_at_newline(stdin, message):
+    """A separator or form feed inside a line does not split it: the line
+    is one bad graph6 string, and a later bad line keeps its number."""
+    code, out, err = run_cli(["stats", "--stat", "p"], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}: ")
+
+
 def test_stats_rejects_over_cap_graph():
     for stat in ("p", "mu"):
         code, out, err = run_cli(["stats", "--stat", stat], stdin=f"Bw\n{OVER_CAP}\n")
@@ -728,6 +742,21 @@ def test_seed_without_random_weights_is_rejected(argv):
     code, out, err = run_cli(argv, stdin="")
     assert (code, out) == (2, "")
     assert err == "error: --seed requires --weights random\n"
+
+
+@pytest.mark.parametrize("stdin", ["Bw\n", ""], ids=["one-graph", "empty"])
+@pytest.mark.parametrize("argv", [
+    ["--stat", "p", "--weights", "random", "--seed", "5"],
+    ["--stat", "p", "--weights", "random"],
+    ["--stat", "s_K", "--weights", "random", "--seed", "5"],
+    ["--stat", "p_v", "--root", "0", "--weights", "random", "--seed", "5"],
+], ids=["p-seed", "p", "s_K", "p_v"])
+def test_random_weights_without_weighted_stat_are_rejected(argv, stdin):
+    """Only --stat w_p reads a weighting; any other statistic would drop
+    the random weights unread.  The error comes before any output."""
+    code, out, err = run_cli(["stats", *argv], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == "error: --weights random applies only to --stat w_p\n"
 
 
 @pytest.mark.parametrize("theorems", [[","], [""], [" , ", ""]],

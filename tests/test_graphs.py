@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -478,6 +479,17 @@ def test_weighted_parse_errors_carry_line_numbers():
         parse_weighted_graph("3 1\n0 1 x\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_weighted_graph("3 2\n0 1 1/2\n0 9 1\n")
+
+
+def test_weighted_parse_splits_lines_only_at_newline():
+    # a separator inside the header joins it with the edge line
+    with pytest.raises(ValueError, match="^line 1: expected header"):
+        parse_weighted_graph("2 1\x1c0 1 1\n")
+    # a form feed ending a comment does not add a line before the bad edge
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_weighted_graph("# c\f\n3 1\n0 1 x\n")
+    wg = parse_weighted_graph("2 1\r\n0 1 1/2\f\r\n")
+    assert wg.weights == {(0, 1): Fraction(1, 2)}
 
 
 def test_seeded_weights_reproducible():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from conftest import (
     frozen_corpus,
     naive_d_set,
@@ -36,6 +38,13 @@ def test_factor_critical_examples():
     assert not is_factor_critical(path_graph(3))
     assert not is_factor_critical(complete_graph(4))
     assert is_factor_critical(complete_graph(5))
+
+
+def test_factor_critical_past_the_table_cap():
+    # an even order is never factor-critical, and no table is built for it
+    assert not is_factor_critical(complete_graph(14))
+    with pytest.raises(ValueError, match="n <= 12"):
+        is_factor_critical(complete_graph(13))
 
 
 def test_factor_critical_against_naive_n6():

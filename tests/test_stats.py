@@ -282,6 +282,33 @@ def test_clique_stats_match_naive_n5():
                 assert pcp[clique] == naive_p_clique(g, clique)
 
 
+# each per-item form, with the profile it reads
+EDGE_FORMS = (
+    (longest_path_through_edge, path_profile),
+    (longest_cycle_through_edge, cycle_profile),
+    (star_size_through_edge, star_profile),
+    (max_matching_containing_edge, matching_profile),
+)
+
+
+def test_per_item_forms_equal_their_profiles_n6():
+    """Over every class with n <= 6, on a plain Graph and on a TabledGraph,
+    each per-edge and per-clique form gives its profile's value on every
+    edge, in either orientation, and on every clique, in any order."""
+    for plain in frozen_corpus(6):
+        for g in (plain, TabledGraph(plain)):
+            for form, profile in EDGE_FORMS:
+                values = profile(g).values
+                assert {(a, b): form(g, (b, a)) for a, b in g.edges} == values
+            for v in range(g.n) if is_connected(g) else ():
+                values = vpath_profile(g, v).values
+                assert {e: longest_vpath_through_edge(g, v, e[::-1]) for e in g.edges} == values
+            for s in range(1, g.n + 1):
+                for strict in (False, True):
+                    values = clique_star_profile(g, s, strict).values
+                    assert {k: max_star_over_clique(g, k[::-1], strict) for k in values} == values
+
+
 def engine_builds(monkeypatch) -> list:
     """The graphs that PathEngines are built on from now on."""
     built = []
@@ -370,6 +397,40 @@ def test_each_table_of_a_class_is_built_once(monkeypatch):
         assert built.count(("EdgeStatProfile", "c")) == 1
         assert built.count(("is_connected",)) <= 1
     assert not any(wrapped)
+
+
+def test_per_item_reads_after_the_profile_build_nothing(monkeypatch):
+    """On a TabledGraph, once a profile is built, reading every edge or
+    clique through its per-item form builds no PathEngine, matching table,
+    EdgeStatProfile or CliqueStatProfile: each read is a lookup."""
+    built = engine_builds(monkeypatch)
+
+    def counted(name, real):
+        def build(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return build
+
+    for name in ("match_table", "EdgeStatProfile", "CliqueStatProfile"):
+        monkeypatch.setattr(stats, name, counted(name, getattr(stats, name)))
+    for g in map(TabledGraph, frozen_corpus(6)):
+        reads = [(profile, lambda e, form=form: form(g, e)) for form, profile in EDGE_FORMS]
+        for v in range(g.n) if is_connected(g) else ():
+            reads.append((lambda g, v=v: vpath_profile(g, v),
+                          lambda e, v=v: longest_vpath_through_edge(g, v, e)))
+        for profile, read in reads:
+            profile(g)
+            built.clear()
+            for a, b in g.edges:
+                read((b, a))
+            assert built == []
+        for s in range(1, g.n + 1):
+            for strict in (False, True):
+                cliques = clique_star_profile(g, s, strict).values
+                built.clear()
+                for k in cliques:
+                    max_star_over_clique(g, k, require_center_in_clique=strict)
+                assert built == []
 
 
 def test_clique_verifiers_share_one_listing_per_order(monkeypatch):

@@ -15,8 +15,9 @@ LIBRARY_ONLY = frozenset({
     "connected_components", "cut_vertices", "cut_edges_and_2ec_pieces",
     # canonical forms as bytes, and the writer of the weighted-graph format
     "canonical_form", "write_weighted_graph",
-    # per-edge and per-clique forms of statistics that the commands compute
-    # as profiles
+    # per-edge and per-clique forms, each of which checks its edge or clique
+    # and reads it from the profile that the commands print, and the other
+    # library readings of those profiles and tables
     "longest_path_through_edge", "longest_cycle_through_edge",
     "longest_vpath_through_edge", "max_weight_path_through_edge",
     "weighted_path_ratios", "max_matching", "max_star_over_clique",
