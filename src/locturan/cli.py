@@ -391,13 +391,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if result.ok:
                 out.write("PASS\n")
             else:
-                out.write(f"FAIL {first_bad[0] if first_bad else ''}".rstrip() + "\n")
+                out.write(f"FAIL {first_bad[0]}\n")
 
     if not result.ok:
         for line in result.failures[:20]:
             print(f"counterexample: {line}", file=sys.stderr)
-        if first_bad:
-            print(f"FAIL {first_bad[0]}", file=sys.stderr)
+        print(f"FAIL {first_bad[0]}", file=sys.stderr)
         return 1
     return 0
 

@@ -47,8 +47,7 @@ The edge profiles read their tables in place: p(e) and c(e) the engine,
 mu(e) = 1 + mu(G - u - v) the matching table, and s(e) the two degrees.
 Each profile is the one builder of its statistic: the per-edge forms and
 s(K) of one clique check their item and read it there.  A TabledGraph keeps
-the engine, the matching table, each profile but p(S)'s and the connectivity
-answer of p_v(e), so a second reader of any of them builds nothing.
+only what some reader reads twice; the other profiles cost one build per call.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -218,8 +217,8 @@ class PathEngine:
 
 
 class TabledGraph(Graph):
-    """A Graph that keeps what the statistics build on it, each on its first
-    read: the path engine, the matching table, the edge and s(K) profiles,
+    """A Graph that keeps what the statistics read twice, each built on its
+    first read: the path engine, the matching table, the p(e) and c(e) profiles,
     whether the graph is connected, the clique listing of each order and the
     heaviest-path profile of each weighting.  It shares g's vertex count,
     adjacency and edges as built.  On a plain Graph each call builds what it
@@ -243,12 +242,8 @@ def _kept(g: Graph, build, *args, key=None):
 
 
 def _tabled(build):
-    """build, kept on a TabledGraph g by _kept under its positional arguments;
-    a call that names an argument builds, as on a plain Graph."""
-    @wraps(build)
-    def kept(g, *args, **kwargs):
-        return build(g, *args, **kwargs) if kwargs else _kept(g, build, *args)
-    return kept
+    """build(g), kept on a TabledGraph g by _kept."""
+    return wraps(build)(lambda g: _kept(g, build))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,9 @@ def longest_cycle_through_edge(g: Graph, e: tuple[int, int]) -> int:
 
 def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
     """p_v(e): edges of a longest simple path starting at v and using e."""
-    return vpath_profile(g, v).values[g.check_edge(e)]
+    _check_root(g, v)
+    e = g.check_edge(e)
+    return _vpath_profile(g, v).values[e]
 
 
 @_tabled
@@ -296,12 +293,19 @@ def cycle_profile(g: Graph) -> EdgeStatProfile:
     return EdgeStatProfile("c", {(a, b): eng.edge_cycle(a, b) for a, b in g.edges})
 
 
-@_tabled
 def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
+    _check_root(g, v)
+    return _vpath_profile(g, v)
+
+
+def _check_root(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if not _kept(g, is_connected):
         raise ValueError("p_v(e) requires a connected graph")
+
+
+def _vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
     values = dict(zip(g.edges, _kept(g, PathEngine).vpath_edges(v, g.edges)))
     return EdgeStatProfile("p_v", values, root=v)
 
@@ -312,7 +316,6 @@ def star_size_through_edge(g: Graph, e: tuple[int, int]) -> int:
     return star_profile(g).values[e]
 
 
-@_tabled
 def star_profile(g: Graph) -> EdgeStatProfile:
     return EdgeStatProfile("s", {(u, v): max(g.degree(u), g.degree(v)) for u, v in g.edges})
 
@@ -377,7 +380,6 @@ def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
     return matching_profile(g).values[e]
 
 
-@_tabled
 def matching_profile(g: Graph) -> EdgeStatProfile:
     table, full = _kept(g, match_table), (1 << g.n) - 1
     return EdgeStatProfile("mu", {(u, v): 1 + table[full ^ 1 << u ^ 1 << v] for u, v in g.edges})
@@ -459,7 +461,6 @@ def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
     return CliqueStatProfile("p_S", s, values)
 
 
-@_tabled
 def clique_star_profile(
     g: Graph, s: int, require_center_in_clique: bool = False
 ) -> CliqueStatProfile:
@@ -586,7 +587,8 @@ def _heaviest_through_edges(wg: WeightedGraph) -> dict[tuple[int, int], Fraction
 
 
 def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fraction:
-    return weighted_path_profile(wg).values[wg.graph.check_edge(e)]
+    e = wg.graph.check_edge(e)
+    return weighted_path_profile(wg).values[e]
 
 
 def max_weight_cycle(wg: WeightedGraph) -> Fraction | None:

@@ -230,13 +230,24 @@ def test_weighted_examples():
     assert max_weight_cycle(single) is None
 
 
-def test_edge_arguments_validated():
+def test_edge_arguments_validated(monkeypatch):
     with pytest.raises(ValueError):
         longest_path_through_edge(path_graph(3), (0, 2))
     with pytest.raises(ValueError):
         longest_cycle_through_edge(path_graph(3), (9, 2))
     with pytest.raises(ValueError):
         max_matching_containing_edge(path_graph(3), (0, 2))
+    # each per-edge form checks its edge before it builds anything: past the
+    # table cap, and on a holder, where no engine is built for a bad edge
+    built = engine_builds(monkeypatch)
+    for g in (path_graph(13), TabledGraph(complete_graph(6))):
+        forms = [lambda e, form=form: form(g, e) for form, _ in EDGE_FORMS]
+        forms.append(lambda e: longest_vpath_through_edge(g, 0, e))
+        forms.append(lambda e: max_weight_path_through_edge(WeightedGraph.unit(g), e))
+        for form in forms:
+            with pytest.raises(ValueError, match=r"\(0, 9\) is not an edge"):
+                form((0, 9))
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +387,10 @@ def test_each_table_of_a_class_is_built_once(monkeypatch):
     counting("match_table")
     counting("is_connected")
     counting("EdgeStatProfile", lambda kind, *rest: (kind,))
+    counting("CliqueStatProfile", lambda kind, s, *rest: (kind, s))
+    holders = []
+    monkeypatch.setattr("locturan.verify.TabledGraph",
+                        lambda g: holders.append(TabledGraph(g)) or holders[-1])
     wrapped = []
     init = Graph.__init__
 
@@ -390,47 +405,41 @@ def test_each_table_of_a_class_is_built_once(monkeypatch):
     for g in graphs:
         engines.clear()
         built.clear()
+        holders.clear()
         assert all(r.status != "violated" for r in reports_for_graph(g, cfg))
         assert len(engines) == 1
         assert built.count(("match_table",)) == 1
         assert built.count(("EdgeStatProfile", "p")) == 1
         assert built.count(("EdgeStatProfile", "c")) == 1
         assert built.count(("is_connected",)) <= 1
+        # the profiles that no reader reads twice: built once per use, not kept
+        assert built.count(("EdgeStatProfile", "p_v")) == (g.n if is_connected(g) else 0)
+        assert built.count(("EdgeStatProfile", "mu")) == (g.m > 0)
+        assert built.count(("EdgeStatProfile", "s")) == 1
+        assert all(built.count(("CliqueStatProfile", "s_K", s)) == 2 for s in cfg.s_values)
+        [holder] = holders
+        kept = {getattr(table, "kind", None) for table in holder.tables.values()}
+        assert not kept & {"p_v", "mu", "s", "s_K"}
     assert not any(wrapped)
 
 
 def test_per_item_reads_after_the_profile_build_nothing(monkeypatch):
-    """On a TabledGraph, once a profile is built, reading every edge or
-    clique through its per-item form builds no PathEngine, matching table,
-    EdgeStatProfile or CliqueStatProfile: each read is a lookup."""
+    """On a TabledGraph, once the kept p(e) or c(e) profile is built, reading
+    every edge through its per-edge form builds no PathEngine or
+    EdgeStatProfile: each read is a lookup."""
     built = engine_builds(monkeypatch)
-
-    def counted(name, real):
-        def build(*args, **kwargs):
-            built.append(name)
-            return real(*args, **kwargs)
-        return build
-
-    for name in ("match_table", "EdgeStatProfile", "CliqueStatProfile"):
-        monkeypatch.setattr(stats, name, counted(name, getattr(stats, name)))
+    real = stats.EdgeStatProfile
+    monkeypatch.setattr(stats, "EdgeStatProfile",
+                        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+    kept = ((longest_path_through_edge, path_profile),
+            (longest_cycle_through_edge, cycle_profile))
     for g in map(TabledGraph, frozen_corpus(6)):
-        reads = [(profile, lambda e, form=form: form(g, e)) for form, profile in EDGE_FORMS]
-        for v in range(g.n) if is_connected(g) else ():
-            reads.append((lambda g, v=v: vpath_profile(g, v),
-                          lambda e, v=v: longest_vpath_through_edge(g, v, e)))
-        for profile, read in reads:
+        for form, profile in kept:
             profile(g)
             built.clear()
             for a, b in g.edges:
-                read((b, a))
+                form(g, (b, a))
             assert built == []
-        for s in range(1, g.n + 1):
-            for strict in (False, True):
-                cliques = clique_star_profile(g, s, strict).values
-                built.clear()
-                for k in cliques:
-                    max_star_over_clique(g, k, require_center_in_clique=strict)
-                assert built == []
 
 
 def test_clique_verifiers_share_one_listing_per_order(monkeypatch):
