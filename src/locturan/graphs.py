@@ -9,7 +9,7 @@ then the upper triangle of the adjacency matrix read column by column
 ((0,1); (0,2),(1,2); (0,3),...), packed into 6-bit groups, most significant
 bit first, each group + 63.  Padding bits must be zero.
 
-Canonical forms (n <= 8) minimize that same bit sequence, the key, over all
+Canonical forms (n <= 9) minimize that same bit sequence, the key, over all
 n! relabelings, so equal canonical forms mean isomorphic, exactly.  The
 search is a depth-first branch and bound over labels 0, 1, ...: label j may
 go to any vertex of the cell of unplaced vertices whose column (edges to
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .rationals import format_rational, parse_rational
 
 MAX_VERTICES = 32
-CANON_CAP = 8  # largest order for canonical forms and enumeration
+CANON_CAP = 9  # largest order for canonical forms and enumeration
 
 
 class Graph:

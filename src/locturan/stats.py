@@ -39,15 +39,16 @@ denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
 gives the heaviest cycle.  Each result is divided by d once.
 
 clique_count and both clique profiles read the listing of the s-vertex
-cliques.  p(S) takes one size read if |S| = 1, else one engine join per
-pair of S, and s(K) the largest degree over K, or over K and its common
-neighbours.
+cliques.  p(S) takes one size read if |S| = 1, p(e) if |S| = 2 (the
+2-cliques are the edges, in the same order), else one engine join per pair
+of S; s(K) is the largest degree over K, or over K and its common neighbours.
 
 The edge profiles read their tables in place: p(e) and c(e) the engine,
 mu(e) = 1 + mu(G - u - v) the matching table, and s(e) the two degrees.
 Each profile is the one builder of its statistic: the per-edge forms and
 s(K) of one clique check their item and read it there.  A TabledGraph keeps
-only what some reader reads twice; the other profiles cost one build per call.
+only what some reader reads twice, through kept(g, build), connectivity and
+2-edge-connectivity included; the other profiles cost one build per call.
 
 Everything returns ints or Fractions; no floats anywhere.
 """
@@ -219,10 +220,10 @@ class PathEngine:
 class TabledGraph(Graph):
     """A Graph that keeps what the statistics read twice, each built on its
     first read: the path engine, the matching table, the p(e) and c(e) profiles,
-    whether the graph is connected, the clique listing of each order and the
-    heaviest-path profile of each weighting.  It shares g's vertex count,
-    adjacency and edges as built.  On a plain Graph each call builds what it
-    reads, and nothing is kept."""
+    whether the graph is connected or 2-edge-connected, the clique listing of
+    each order and the heaviest-path profile of each weighting.  It shares g's
+    vertex count, adjacency and edges as built.  On a plain Graph each call
+    builds what it reads, and nothing is kept."""
 
     __slots__ = ("tables",)
 
@@ -230,20 +231,20 @@ class TabledGraph(Graph):
         self.n, self.adj, self.edges, self.tables = g.n, g.adj, g.edges, {}
 
 
-def _kept(g: Graph, build, *args, key=None):
+def kept(g: Graph, build, *args, key=None):
     """build(g, *args), kept on a TabledGraph g under key or (build, *args)."""
     if not isinstance(g, TabledGraph):
         return build(g, *args)
     key = key or (build, *args)
-    kept = g.tables.get(key)  # no table is None
-    if kept is None:
-        kept = g.tables[key] = build(g, *args)
-    return kept
+    value = g.tables.get(key)  # no kept value is None
+    if value is None:
+        value = g.tables[key] = build(g, *args)
+    return value
 
 
 def _tabled(build):
-    """build(g), kept on a TabledGraph g by _kept."""
-    return wraps(build)(lambda g: _kept(g, build))
+    """build(g), kept on a TabledGraph g by kept."""
+    return wraps(build)(lambda g: kept(g, build))
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +253,14 @@ def _tabled(build):
 
 def longest_path(g: Graph) -> int:
     """Number of edges of a longest simple path (0 for edgeless graphs)."""
-    return _kept(g, PathEngine).longest_path() if g.n else 0
+    return kept(g, PathEngine).longest_path() if g.n else 0
 
 
 def longest_vpath(g: Graph, v: int) -> int:
     """ell_G(v): edges of a longest simple path starting at v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return _kept(g, PathEngine).vpath(v)
+    return kept(g, PathEngine).vpath(v)
 
 
 def longest_path_through_edge(g: Graph, e: tuple[int, int]) -> int:
@@ -283,13 +284,13 @@ def longest_vpath_through_edge(g: Graph, v: int, e: tuple[int, int]) -> int:
 
 @_tabled
 def path_profile(g: Graph) -> EdgeStatProfile:
-    eng = _kept(g, PathEngine)
+    eng = kept(g, PathEngine)
     return EdgeStatProfile("p", {(a, b): eng.edge_path(a, b) for a, b in g.edges})
 
 
 @_tabled
 def cycle_profile(g: Graph) -> EdgeStatProfile:
-    eng = _kept(g, PathEngine)
+    eng = kept(g, PathEngine)
     return EdgeStatProfile("c", {(a, b): eng.edge_cycle(a, b) for a, b in g.edges})
 
 
@@ -301,12 +302,12 @@ def vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
 def _check_root(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    if not _kept(g, is_connected):
+    if not kept(g, is_connected):
         raise ValueError("p_v(e) requires a connected graph")
 
 
 def _vpath_profile(g: Graph, v: int) -> EdgeStatProfile:
-    values = dict(zip(g.edges, _kept(g, PathEngine).vpath_edges(v, g.edges)))
+    values = dict(zip(g.edges, kept(g, PathEngine).vpath_edges(v, g.edges)))
     return EdgeStatProfile("p_v", values, root=v)
 
 
@@ -348,12 +349,12 @@ def match_table(g: Graph) -> tuple[int, ...]:
 
 
 def matching_number(g: Graph) -> int:
-    return _kept(g, match_table)[(1 << g.n) - 1]
+    return kept(g, match_table)[(1 << g.n) - 1]
 
 
 def max_matching(g: Graph) -> list[tuple[int, int]]:
     """One maximum matching, reconstructed deterministically from the table."""
-    table = _kept(g, match_table)
+    table = kept(g, match_table)
     mask = (1 << g.n) - 1
     out: list[tuple[int, int]] = []
     while mask:
@@ -381,7 +382,7 @@ def max_matching_containing_edge(g: Graph, e: tuple[int, int]) -> int:
 
 
 def matching_profile(g: Graph) -> EdgeStatProfile:
-    table, full = _kept(g, match_table), (1 << g.n) - 1
+    table, full = kept(g, match_table), (1 << g.n) - 1
     return EdgeStatProfile("mu", {(u, v): 1 + table[full ^ 1 << u ^ 1 << v] for u, v in g.edges})
 
 
@@ -404,12 +405,12 @@ def _cliques(g: Graph, s: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_cliques(g: Graph, s: int) -> list[tuple[int, ...]]:
     """All cliques on exactly s vertices, as sorted tuples in lex order."""
-    return list(_kept(g, _cliques, s))
+    return list(kept(g, _cliques, s))
 
 
 def clique_count(g: Graph, s: int) -> int:
     """n_s(G): number of s-vertex cliques."""
-    return len(_kept(g, _cliques, s))
+    return len(kept(g, _cliques, s))
 
 
 def _check_clique(g: Graph, vertices) -> tuple[tuple[int, ...], int]:
@@ -431,7 +432,7 @@ def longest_path_with_consecutive_clique(g: Graph, clique) -> int:
     """p(S): edges of a longest path whose vertex sequence contains all of S
     as one consecutive block (any internal order).  At least len(S) - 1."""
     vs, kmask = _check_clique(g, clique)
-    eng = _kept(g, PathEngine)
+    eng = kept(g, PathEngine)
     s = len(vs)
     if s == 1:
         return eng.vertex_path(vs[0])
@@ -454,9 +455,11 @@ def max_star_over_clique(g: Graph, clique, require_center_in_clique: bool = Fals
 
 
 def clique_path_profile(g: Graph, s: int) -> CliqueStatProfile:
+    if s == 2 and g.edges:  # the 2-cliques are the edges, in the same order
+        return CliqueStatProfile("p_S", 2, dict(path_profile(g).values))
     g = g if isinstance(g, TabledGraph) else TabledGraph(g)  # one engine for every clique
     values = {
-        k: longest_path_with_consecutive_clique(g, k) for k in _kept(g, _cliques, s)
+        k: longest_path_with_consecutive_clique(g, k) for k in kept(g, _cliques, s)
     }
     return CliqueStatProfile("p_S", s, values)
 
@@ -467,7 +470,7 @@ def clique_star_profile(
     """s(K) of each s-clique K: the largest degree over K, or over K and the
     common neighbours of K."""
     values = {}
-    for k in _kept(g, _cliques, s):
+    for k in kept(g, _cliques, s):
         common = 0 if require_center_in_clique else reduce(and_, (g.adj[v] for v in k))
         values[k] = max(g.degree(c) for c in (*k, *mask_vertices(common)))
     return CliqueStatProfile("s_K", s, values)
@@ -548,7 +551,7 @@ def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
 
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
-    return _kept(wg.graph, _weighted_path_profile, wg, key=("w_p", *wg.weights.values()))
+    return kept(wg.graph, _weighted_path_profile, wg, key=("w_p", *wg.weights.values()))
 
 
 def _weighted_path_profile(g: Graph, wg: WeightedGraph) -> EdgeStatProfile:

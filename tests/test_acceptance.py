@@ -96,6 +96,33 @@ def test_exhaustive_proof_through_n8(monkeypatch):
     )
 
 
+@pytest.mark.n9
+def test_enumeration_through_n9(monkeypatch):
+    """A000088(9): `enumerate --n 9` writes 274,668 classes, pinned by the
+    SHA-256 of its lines."""
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["enumerate", "--n", "9"]) == 0
+    assert sink.lines == 274668
+    assert sink.hash.hexdigest() == (
+        "0577f590f96e98da745054103d3ce8b4fc9c088892be55bd9631951893def3c0"
+    )
+
+
+@pytest.mark.n9
+def test_exhaustive_proof_through_n9(monkeypatch):
+    """Every registered theorem on every class with n <= 9: the text summary
+    of `verify --theorem all --n 1-9` passes and is pinned by digest (the
+    JSON reports would be about 2.4 GB)."""
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["verify", "--theorem", "all", "--n", "1-9", "--format", "text"]) == 0
+    assert sink.last_line == "PASS"
+    assert sink.hash.hexdigest() == (
+        "63235ab6f63e0d8d739efef6f9c71bc721eedf41b67f7b95fa442107056625ff"
+    )
+
+
 def test_criterion_2_equality_families_are_biconditional_through_n6():
     """On the n <= 6 corpus the zero-slack sets equal the structural family
     sets exactly (per root where rooted), and the divergence between the two

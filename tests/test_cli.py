@@ -102,8 +102,8 @@ def test_enumerate_rejects_bad_ranges():
 
 
 def test_enumerate_gates_slow_order():
-    code, _, err = run_cli(["enumerate", "--n", "9"])
-    assert code == 2 and "n <= 8" in err
+    code, _, err = run_cli(["enumerate", "--n", "10"])
+    assert code == 2 and "n <= 9" in err
     # the removed --allow-slow flag is an unknown argument
     code, _, err = run_cli(["enumerate", "--n", "3", "--allow-slow"])
     assert code == 2 and "--allow-slow" in err
@@ -201,6 +201,18 @@ def test_stats_weighted_profile_from_file(tmp_path):
         ("0-1", "2"), ("0-2", "1"), ("1-2", "2"),
     ]
     assert all(r["weights"] == "file" for r in recs)
+
+
+@pytest.mark.parametrize("stat", ["p", "mu", "s_K"])
+def test_stats_weights_file_is_a_graph_source_for_other_stats(tmp_path, stat):
+    """--weights file names a graph source, as it does for verify: a stat
+    other than w_p reads the file's graph and no weight, like --input."""
+    wfile = tmp_path / "tri.wg"
+    wfile.write_text(TRI_WEIGHTS)
+    code, out, err = run_cli(["stats", "--stat", stat, "--weights", "file",
+                              "--weights-file", str(wfile)])
+    assert (code, err) == (0, "")
+    assert out == run_cli(["stats", "--stat", stat], stdin="Bw\n")[1]
 
 
 def test_stats_input_errors_carry_line_numbers(tmp_path):
@@ -569,67 +581,51 @@ def test_verify_counterexample_exits_one(monkeypatch):
     assert "FAIL Cr" in err
 
 
-def test_internal_self_check_failure_exits_three(monkeypatch):
-    """A failed self-check is an internal error, not a counterexample."""
-    real = verify.star_profile
-
-    def corrupt(g):
-        return EdgeStatProfile("s", {e: v + 1 for e, v in real(g).values.items()})
-
-    monkeypatch.setattr("locturan.verify.star_profile", corrupt)
-    code, _, err = run_cli(["verify", "--theorem", "star", "--n", "3"])
-    assert code == 3
-    assert err == (
-        "internal error: star on BG: "
-        "star statistic disagrees with max-degree form\n"
-    )
+NO_CYCLE = (
+    "internal error: bondy-fan on Bw, weights unit: "
+    "2-edge-connected graph with no cycle; cycle search is corrupt\n"
+)
 
 
 @pytest.fixture
-def star_corrupt_from_two_edges(monkeypatch):
-    """s(e) one too large on graphs with two or more edges: in --n 1-3 order
-    the star self-check passes on @, A?, A_, B? and BG, then fails on BW."""
-    real = verify.star_profile
-
-    def corrupt(g):
-        prof = real(g)
-        if g.m < 2:
-            return prof
-        return EdgeStatProfile("s", {e: v + 1 for e, v in prof.values.items()})
-
-    monkeypatch.setattr("locturan.verify.star_profile", corrupt)
+def cycle_search_finds_none(monkeypatch):
+    """The heaviest-cycle search reports no cycle: in --n 1-3 order bondy-fan
+    skips @, A?, A_, B?, BG and BW, then its cycle-existence check fails on
+    Bw, the first 2-edge-connected graph."""
+    monkeypatch.setattr("locturan.verify.max_weight_cycle", lambda wg: None)
 
 
-def test_internal_error_leaves_earlier_reports_on_stdout(star_corrupt_from_two_edges):
+def test_internal_self_check_failure_exits_three(cycle_search_finds_none):
+    """A failed self-check is an internal error, not a counterexample."""
+    code, out, err = run_cli(["verify", "--theorem", "bondy-fan", "--n", "3"])
+    assert (code, out, err) == (3, "", NO_CYCLE)
+
+
+def test_internal_error_leaves_earlier_reports_on_stdout(cycle_search_finds_none):
     """Reports stream, so a self-check failure on a later graph leaves the
     earlier graphs' report lines in place, with no aggregate line."""
     code, out, err = run_cli(
-        ["verify", "--theorem", "star", "--n", "1-3", "--format", "json"]
+        ["verify", "--theorem", "bondy-fan", "--n", "1-3", "--format", "json"]
     )
     assert code == 3
-    assert err == (
-        "internal error: star on BW: "
-        "star statistic disagrees with max-degree form\n"
-    )
+    assert err == NO_CYCLE
     lines = [json.loads(line) for line in out.splitlines()]
-    assert len(lines) == 5
     assert all("aggregate" not in rec for rec in lines)
-    assert [rec["graph6"] for rec in lines] == ["@", "A?", "A_", "B?", "BG"]
+    assert [rec["graph6"] for rec in lines] == ["@", "A?", "A_", "B?", "BG", "BW"]
 
 
 def test_internal_error_leaves_earlier_csv_rows_in_the_output_file(
-    star_corrupt_from_two_edges, tmp_path
+    cycle_search_finds_none, tmp_path
 ):
     """--output is closed on the internal-error path too, holding the header
     and the rows written before the failing graph."""
     target = tmp_path / "reports.csv"
-    code, out, err = run_cli(["verify", "--theorem", "star", "--n", "1-3",
+    code, out, err = run_cli(["verify", "--theorem", "bondy-fan", "--n", "1-3",
                               "--format", "csv", "--output", str(target)])
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: star on BW: ")
+    assert (code, out, err) == (3, "", NO_CYCLE)
     rows = list(csv.reader(io.StringIO(target.read_text())))
     assert rows[0] == list(CSV_FIELDS)
-    assert [row[1] for row in rows[1:]] == ["@", "A?", "A_", "B?", "BG"]
+    assert [row[1] for row in rows[1:]] == ["@", "A?", "A_", "B?", "BG", "BW"]
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +753,22 @@ def test_random_weights_without_weighted_stat_are_rejected(argv, stdin):
     code, out, err = run_cli(["stats", *argv], stdin=stdin)
     assert (code, out) == (2, "")
     assert err == "error: --weights random applies only to --stat w_p\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "mt", "--seed", "1"],
+    ["--theorem", "local-bbrs,star", "--seed", "1", "--trials", "2"],
+    ["--theorem", "gt-path", "--s", "3", "--seed", "1", "--format", "json"],
+], ids=["mt", "trials", "json"])
+def test_verify_random_weights_without_weighted_theorem_are_rejected(argv):
+    """Only weighted-mt, fmr and bondy-fan read a weighting; without one of
+    them the seed would be dropped unread.  The error comes before any
+    output."""
+    code, out, err = run_cli(["verify", "--n", "3", "--weights", "random", *argv])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --weights random needs a weighted theorem: weighted-mt, fmr, bondy-fan\n"
+    )
 
 
 @pytest.mark.parametrize("theorems", [[","], [""], [" , ", ""]],

@@ -348,7 +348,7 @@ def test_enumeration_range_checks():
     with pytest.raises(ValueError):
         list(enumerate_graphs(0))
     with pytest.raises(ValueError):
-        list(enumerate_graphs(9))
+        list(enumerate_graphs(10))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,10 @@ from locturan.graphs import (
     star_graph,
     write_graph6,
 )
+import locturan.cli
+import locturan.graphs
 import locturan.stats as stats
+import locturan.verify
 from locturan.stats import (
     PathEngine,
     TabledGraph,
@@ -421,6 +424,37 @@ def test_each_table_of_a_class_is_built_once(monkeypatch):
         kept = {getattr(table, "kind", None) for table in holder.tables.values()}
         assert not kept & {"p_v", "mu", "s", "s_K"}
     assert not any(wrapped)
+
+
+def test_each_hypothesis_is_decided_once_per_graph(monkeypatch):
+    """Over the 208 classes with n <= 6, reports_for_graph tests
+    2-edge-connectivity once per graph with n >= 3 and connectivity once,
+    plus the test inside 2-edge-connectivity: every module's binding of
+    each is wrapped.  p(S) validates its cliques only at s >= 3, since at
+    s = 2 it reads the kept p(e)."""
+    calls, checked = [], []
+    modules = (locturan.graphs, stats, locturan.verify, locturan.cli)
+    for name in ("is_connected", "is_two_edge_connected"):
+        real = getattr(locturan.graphs, name)
+
+        def counted(g, name=name, real=real):
+            calls.append(name)
+            return real(g)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    check = stats._check_clique
+    monkeypatch.setattr(stats, "_check_clique",
+                        lambda g, k: checked.append(len(k)) or check(g, k))
+    cfg = CorpusConfig(ALL_THEOREMS)
+    for g in (g for n in range(1, 7) for g in enumerate_graphs(n)):
+        calls.clear()
+        checked.clear()
+        assert all(r.status != "violated" for r in reports_for_graph(g, cfg))
+        assert calls.count("is_two_edge_connected") == (g.n >= 3)
+        assert calls.count("is_connected") == 1 + (g.n >= 3)
+        assert sorted(checked) == [3] * clique_count(g, 3) + [4] * clique_count(g, 4)
 
 
 def test_per_item_reads_after_the_profile_build_nothing(monkeypatch):

@@ -31,8 +31,9 @@ from locturan.graphs import (
     star_graph,
     write_graph6,
 )
+from locturan import verify
 from locturan.rationals import format_rational
-from locturan.stats import longest_path
+from locturan.stats import EdgeStatProfile, longest_path
 from locturan.verify import (
     ALL_THEOREMS,
     CSV_FIELDS,
@@ -741,6 +742,40 @@ def test_self_check_failure_names_theorem_graph_and_weighting(monkeypatch):
     )
 
 
+def test_local_bbrs_chain_check_fires_on_inflated_rooted_paths(monkeypatch):
+    """p_v(e) one too large everywhere shrinks the rooted path sum below
+    its chain bound (2m - d(v)) / (2 ell(v)), already at the triangle's
+    root 0, where the two are equal."""
+    real = verify.vpath_profile
+    monkeypatch.setattr(
+        verify, "vpath_profile",
+        lambda g, v: EdgeStatProfile("p_v", {e: p + 1 for e, p in real(g, v).values.items()},
+                                     root=v),
+    )
+    with pytest.raises(RuntimeError) as info:
+        reports_for_graph(complete_graph(3), CorpusConfig(("local-bbrs",)))
+    assert str(info.value) == (
+        "local-bbrs on Bw, root 0: internal chain inequality failed for rooted path sum"
+    )
+
+
+def test_gt_star_reading_check_fires_when_the_readings_swap(monkeypatch):
+    """On the paw the edge 01 has the degree-3 vertex 2 as a common
+    neighbour, so its free-center star is larger than its clique-centered
+    one; with the two readings swapped the check fires at s = 2."""
+    real = verify.clique_star_profile
+    monkeypatch.setattr(
+        verify, "clique_star_profile",
+        lambda g, s, require_center_in_clique=False: real(g, s, not require_center_in_clique),
+    )
+    with pytest.raises(RuntimeError) as info:
+        reports_for_graph(paw(), CorpusConfig(("gt-star",)))
+    assert str(info.value) == (
+        f"gt-star on {write_graph6(paw())}, s 2: "
+        "free-center star smaller than clique-centered star"
+    )
+
+
 def test_corpus_random_weight_labels_are_reproducible():
     g = complete_graph(3)
     reports = []
@@ -837,8 +872,6 @@ def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
     """One graph6 for the reports (and one inside the crc32 seed of the
     weightings), and one seeded weighting per trial shared by every
     weighted theorem."""
-    import locturan.verify as verify
-
     calls = {"write_graph6": 0, "seeded_weights": 0}
 
     def counted(name):
