@@ -8,10 +8,13 @@ Commands:
   closure     compute the k-closure and list the added edges
   ge          emit the Gallai-Edmonds partition (D, A, C)
 
-Input is a stream of graph6 lines ("-" or omitted means standard input;
-blank lines and "#" comments are skipped).  Output goes to --output or
-standard output.  All arithmetic is exact; rationals render as "p/q".
-Identical invocations produce byte-identical output.
+Input is a stream of graph6 lines ("-" or omitted means standard input),
+read as `graphs.data_lines` reads it: lines end at "\n", and blank lines and
+"#" comments are skipped.  Output goes to --output or standard output.
+Flags, input and the output file are checked before anything is written;
+then each graph's records are written as soon as they are computed.  All
+arithmetic is exact; rationals render as "p/q".  Identical invocations
+produce byte-identical output.
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or I/O error,
 3 internal error (a self-check failed).
@@ -25,13 +28,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .covers import bound_from_cover, find_spdc, write_cover
 from .graphs import (
     CANON_CAP,
     Graph,
     WeightedGraph,
+    data_lines,
     enumerate_graphs,
     is_connected,
     parse_graph6,
@@ -87,10 +91,7 @@ def _read_text(path: str | None) -> str:
 
 def _read_graphs(path: str | None, capped: bool = False) -> list[Graph]:
     graphs = []
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(_read_text(path)):
         try:
             g = parse_graph6(line)
         except ValueError as exc:
@@ -200,38 +201,29 @@ def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _weighting(
-    g: Graph, weights: str | WeightedGraph, seed: int | None
-) -> tuple[WeightedGraph, str]:
-    """The one weighting of g that `stats --stat w_p` and `spdc` report on."""
-    if isinstance(weights, WeightedGraph) and weights.graph != g:
-        raise UsageError("--weights-file graph differs from input graph")
-    return weightings(g, weights, seed)[0]
+def _input_graphs(args: argparse.Namespace, weights: str | WeightedGraph) -> list[Graph]:
+    """The --weights file graph, or else the --input graphs, within the table cap."""
+    if isinstance(weights, WeightedGraph):
+        return [_capped(weights.graph, args.weights_file)]
+    return _read_graphs(args.input, capped=True)
 
 
 def _item_label(item: tuple[int, ...]) -> str:
     return "-".join(map(str, item))
 
 
-def _emit_records(
-    records: Iterator[dict] | Sequence[dict],
-    fields: Sequence[str],
-    fmt: str,
-    out: TextIO,
-) -> None:
-    """Stream dict records as json lines, csv rows, or aligned text."""
+def _writer(fields: Sequence[str], fmt: str, out: TextIO) -> Callable[[dict], object]:
+    """A function that writes one dict record to out as a json line, a csv
+    row, or a text line of key=value pairs; for csv the header is written now."""
     if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow(["" if rec.get(k) is None else rec[k] for k in fields])
-    else:
-        for rec in records:
-            parts = [f"{k}={rec[k]}" for k in fields if rec.get(k) is not None]
-            out.write(" ".join(parts) + "\n")
+        return lambda rec: out.write(json.dumps(rec) + "\n")
+    if fmt == "csv":
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(fields)
+        return lambda rec: rows.writerow(["" if rec.get(k) is None else rec[k] for k in fields])
+    return lambda rec: out.write(
+        " ".join(f"{k}={rec[k]}" for k in fields if rec.get(k) is not None) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,7 @@ def _stat_records(
         elif args.stat == "p_v":
             prof, extra = vpath_profile(g, args.root), {"root": args.root}
         elif args.stat == "w_p":
-            wg, label = _weighting(g, weights, args.seed)
+            wg, label = weightings(g, weights, args.seed)[0]
             prof, extra = weighted_path_profile(wg), {"weights": label}
         else:
             prof = _EDGE_STATS[args.stat](g)
@@ -287,10 +279,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.input is not None and args.weights == "file":
         raise UsageError("stats takes one graph source, got --input and --weights file")
     weights = _load_weights(args)
-    if isinstance(weights, WeightedGraph):
-        graphs = [_capped(weights.graph, args.weights_file)]
-    else:
-        graphs = _read_graphs(args.input, capped=True)
+    graphs = _input_graphs(args, weights)
     if args.stat == "p_v":
         # every graph is checked before the first record is written
         for g in graphs:
@@ -300,7 +289,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 raise UsageError(f"{write_graph6(g)}: p_v(e) requires a connected graph")
     fields = ("graph6", "stat", "item", "root", "s", "weights", "value")
     with _output(args.output) as out:
-        _emit_records(_stat_records(args, graphs, weights), fields, args.format, out)
+        write = _writer(fields, args.format, out)
+        for rec in _stat_records(args, graphs, weights):
+            write(rec)
     return 0
 
 
@@ -340,10 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials != 1 and args.weights != "random":
         raise UsageError("--trials requires --weights random")
     weights = _load_weights(args)
-    if isinstance(weights, WeightedGraph):
-        corpus = dict(graphs=[_capped(weights.graph, args.weights_file)])
-    elif args.input is not None:
-        corpus = dict(graphs=_read_graphs(args.input, capped=True))
+    if args.n is None:
+        corpus = dict(graphs=_input_graphs(args, weights))
     else:
         corpus = dict(ns=_parse_n_spec(args.n), connected_only=args.connected)
     # a root past every graph's last vertex would make every rooted report a skip
@@ -408,41 +397,34 @@ def cmd_spdc(args: argparse.Namespace) -> int:
     _check_seed(args)
     weights = _load_weights(args)
     graphs = _read_graphs(args.input, capped=True)
-    records = []
-    covers = []
-    for g in graphs:
-        g6 = write_graph6(g)
-        wg, label = _weighting(g, weights, args.seed)
-        try:
-            cover = find_spdc(g)
-            bound = bound_from_cover(wg, cover)  # ValueError: invalid cover
-        except (RuntimeError, ValueError) as exc:
-            raise RuntimeError(f"{g6}: {exc}") from exc
-        covers.append(cover)
-        records.append(
-            {
+    if isinstance(weights, WeightedGraph) and any(g != weights.graph for g in graphs):
+        raise UsageError("--weights-file graph differs from input graph")
+    fields = ("graph6", "paths", "path_count", "weights", "edge_sum",
+              "certified_bound", "vertex_bound")
+    with _output(args.output) as out:
+        write = _writer(fields, args.format, out)
+        for g in graphs:
+            g6 = write_graph6(g)
+            wg, label = weightings(g, weights, args.seed)[0]
+            try:
+                cover = find_spdc(g)
+                bound = bound_from_cover(wg, cover)  # ValueError: invalid cover
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(f"{g6}: {exc}") from exc
+            certified = format_rational(bound.certified_bound)
+            vertex = format_rational(bound.vertex_bound)
+            if args.format == "text":
+                out.write(f"# {g6}\n{write_cover(cover)}# certified {certified} <= {vertex}\n")
+                continue
+            write({
                 "graph6": g6,
                 "paths": "|".join("-".join(map(str, p)) for p in cover.paths),
                 "path_count": bound.path_count,
                 "weights": label,
                 "edge_sum": format_rational(bound.edge_sum),
-                "certified_bound": format_rational(bound.certified_bound),
-                "vertex_bound": format_rational(bound.vertex_bound),
-            }
-        )
-    fields = ("graph6", "paths", "path_count", "weights", "edge_sum",
-              "certified_bound", "vertex_bound")
-    with _output(args.output) as out:
-        if args.format == "text":
-            for rec, cover in zip(records, covers):
-                out.write(f"# {rec['graph6']}\n")
-                out.write(write_cover(cover))
-                out.write(
-                    f"# certified {rec['certified_bound']}"
-                    f" <= {rec['vertex_bound']}\n"
-                )
-        else:
-            _emit_records(records, fields, args.format, out)
+                "certified_bound": certified,
+                "vertex_bound": vertex,
+            })
     return 0
 
 
@@ -450,30 +432,28 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
     graphs = _read_graphs(args.input)
-    records = []
-    for g in graphs:
-        res = k_closure(g, args.k)
-        records.append(
-            {
+    with _output(args.output) as out:
+        write = _writer(("graph6", "k", "closure", "added"), args.format, out)
+        for g in graphs:
+            res = k_closure(g, args.k)
+            write({
                 "graph6": write_graph6(g),
                 "k": args.k,
                 "closure": write_graph6(res.graph),
                 "added": "|".join(map(_item_label, res.added_edges)),
-            }
-        )
-    with _output(args.output) as out:
-        _emit_records(records, ("graph6", "k", "closure", "added"), args.format, out)
+            })
     return 0
 
 
 def cmd_ge(args: argparse.Namespace) -> int:
     graphs = _read_graphs(args.input, capped=True)
-    records = []
-    for g in graphs:
-        dec = gallai_edmonds(g)
-        deficiency = len(dec.d_components) - len(dec.a)  # verified by gallai_edmonds
-        records.append(
-            {
+    fields = ("graph6", "d", "a", "c", "components", "matching_number", "deficiency")
+    with _output(args.output) as out:
+        write = _writer(fields, args.format, out)
+        for g in graphs:
+            dec = gallai_edmonds(g)
+            deficiency = len(dec.d_components) - len(dec.a)  # verified by gallai_edmonds
+            write({
                 "graph6": write_graph6(g),
                 "d": "-".join(map(str, dec.d)) or None,
                 "a": "-".join(map(str, dec.a)) or None,
@@ -484,11 +464,7 @@ def cmd_ge(args: argparse.Namespace) -> int:
                 or None,
                 "matching_number": (g.n - deficiency) // 2,
                 "deficiency": deficiency,
-            }
-        )
-    fields = ("graph6", "d", "a", "c", "components", "matching_number", "deficiency")
-    with _output(args.output) as out:
-        _emit_records(records, fields, args.format, out)
+            })
     return 0
 
 

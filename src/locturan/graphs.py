@@ -489,13 +489,19 @@ def write_weighted_graph(wg: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """The (line number, line) pairs of text that hold data.
+
+    Lines end at "\n" only and are numbered from 1; each line is stripped,
+    and blank lines and "#" comments are skipped.  Graph6 input and
+    weighted-graph files are both read this way."""
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return [(i, line) for i, line in lines if line and not line.startswith("#")]
+
+
 def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the "n m" header plus "u v p/q" line format."""
-    rows = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.split("\n"))
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    rows = data_lines(text)
     if not rows:
         raise ValueError("empty weighted graph input")
     lineno, head = rows[0]

@@ -488,6 +488,13 @@ class CorpusConfig:
             raise ValueError(f"root must be 'all' or >= 0, got {self.roots}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a weight flag that no configured theorem reads would be dropped unread
+        if self.weights == "random" and not set(WEIGHTED_THEOREMS) & set(self.theorems):
+            raise ValueError(f"random weights need one of {', '.join(WEIGHTED_THEOREMS)}")
+        if self.seed is not None and self.weights != "random":
+            raise ValueError("a seed needs random weights")
+        if self.trials != 1 and self.weights != "random":
+            raise ValueError(f"trials={self.trials} needs random weights")
 
 
 def weightings(

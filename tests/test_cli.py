@@ -670,6 +670,42 @@ def test_spdc_internal_error_names_graph(monkeypatch):
     assert err == "internal error: Bw: internal search exhaustion\n"
 
 
+def exhausted_on_second_graph(real):
+    """real, except that its second call raises a RuntimeError."""
+    calls = []
+
+    def wrapped(g):
+        calls.append(g)
+        if len(calls) == 2:
+            raise RuntimeError("internal search exhaustion")
+        return real(g)
+
+    return wrapped
+
+
+def test_spdc_internal_error_leaves_the_earlier_records(monkeypatch):
+    """Each record is written as soon as it is computed, so an internal error
+    on the second graph leaves the csv header and the first graph's row."""
+    real = locturan.cli.find_spdc
+    monkeypatch.setattr("locturan.cli.find_spdc", exhausted_on_second_graph(real))
+    code, out, err = run_cli(["spdc", "--format", "csv"], stdin="Bw\nCr\nCs\n")
+    assert code == 3
+    assert err == "internal error: Cr: internal search exhaustion\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["graph6", "paths", "path_count", "weights", "edge_sum",
+                     "certified_bound", "vertex_bound"],
+                    ["Bw", "0-1-2|1-0-2|0-2-1", "3", "unit", "3/2", "3/2", "3/2"]]
+
+
+def test_spdc_checks_the_output_file_before_any_cover_search(monkeypatch, tmp_path):
+    searched, real = [], locturan.cli.find_spdc
+    monkeypatch.setattr("locturan.cli.find_spdc", lambda g: searched.append(g) or real(g))
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(["spdc", "--output", str(target)], stdin="Bw\nCr\n")
+    assert (code, out, searched) == (2, "", [])
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_spdc_validates_each_cover_once_and_names_an_invalid_one(monkeypatch):
     """bound_from_cover is the one validation of a constructed cover; an
     invalid cover is an internal error (exit 3) naming the graph."""
@@ -806,6 +842,17 @@ def test_spdc_weights_file_must_match_graph(tmp_path):
     assert code == 2 and "differs from input graph" in err
 
 
+def test_spdc_weights_file_mismatch_on_a_later_graph_writes_nothing(tmp_path):
+    """The weights file is checked against every input graph before the first
+    record is written, so a mismatch on the second graph leaves stdout empty."""
+    wfile = tmp_path / "tri.wg"
+    wfile.write_text(TRI_WEIGHTS)
+    code, out, err = run_cli(["spdc", "--weights", "file", "--weights-file", str(wfile),
+                              "--format", "csv"], stdin="Bw\nCs\n")
+    assert (code, out) == (2, "")
+    assert err == "error: --weights-file graph differs from input graph\n"
+
+
 def test_spdc_rejects_over_cap_graph():
     path13 = "LhCGGC@?G?_@?@"  # the path on 13 vertices; it has a cover
     assert parse_graph6(path13).n == 13
@@ -872,6 +919,14 @@ def test_ge_builds_one_matching_table_per_graph(monkeypatch):
                            stdin="".join(write_graph6(g) + "\n" for g in graphs))
     assert code == 0 and len(out.splitlines()) == len(graphs) + 1
     assert built == graphs
+
+
+def test_ge_internal_error_leaves_the_earlier_records(monkeypatch):
+    real = locturan.cli.gallai_edmonds
+    monkeypatch.setattr("locturan.cli.gallai_edmonds", exhausted_on_second_graph(real))
+    code, out, err = run_cli(["ge", "--format", "json"], stdin="Cs\nBw\nBW\n")
+    assert (code, err) == (3, "internal error: internal search exhaustion\n")
+    assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["Cs"]
 
 
 def test_ge_rejects_over_cap_graph():

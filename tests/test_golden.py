@@ -10,7 +10,9 @@ the earlier output.  The two `enumerate` digests were taken from the
 brute-force (all n! relabellings) canonical search, and the n <= 6 seeded
 weighted digest from the maximal-path enumeration of weighted statistics.
 The n <= 7 proof run was pinned before the cut and clique queries moved to
-bitset reachability and the one clique enumerator.
+bitset reachability and the one clique enumerator.  The six cases from
+`stats-p-text` to `closure-k5-text` were pinned before `spdc`, `closure`
+and `ge` wrote each record as soon as it was computed.
 To print the digests of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -127,6 +129,30 @@ CASES = {
     "closure-k5": (
         ["closure", "--k", "5", "--format", "csv"],
         "3f47bd37c11742d33d19682c67ee90847a7598a5263161e712ac0e4f7bdaacec",
+    ),
+    "stats-p-text": (
+        ["stats", "--stat", "p", "--format", "text"],
+        "50c2d75bf7fd3b271740ecc6aa15740077436fd6f42a32bbdb56f5de0492416f",
+    ),
+    "spdc-text": (
+        ["spdc", "--format", "text"],
+        "ad63b7cb3b829132f3e26b1c67aa42cf441045c2c300b71166734b2c5b981ca2",
+    ),
+    "ge-text": (
+        ["ge", "--format", "text"],
+        "1117e0dc27d4d9f7bcdfcf4b23aebe09f111d8a509b0b7ed5af6d22ccd93611c",
+    ),
+    "ge-csv": (
+        ["ge", "--format", "csv"],
+        "738383ff22fb72c5412b91d4a3ad4df5fecc659bb693bfdec0e04da43394c3e3",
+    ),
+    "closure-k5-json": (
+        ["closure", "--k", "5", "--format", "json"],
+        "1db7b4942332e309654b00255d36c36b3073be385578acd6ba142e035bf81101",
+    ),
+    "closure-k5-text": (
+        ["closure", "--k", "5", "--format", "text"],
+        "db2813c01981380bdd8fd1366dc0f32bfdb89482f6b321144e2e17c8a4c755d7",
     ),
     "verify-weights-file": (
         ["verify", "--theorem", "all", "--weights", "file", "--weights-file",

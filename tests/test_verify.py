@@ -713,6 +713,31 @@ def test_corpus_rejects_trials_below_one():
                           trials=trials)
 
 
+def test_corpus_rejects_random_weights_that_no_theorem_reads():
+    with pytest.raises(ValueError, match="random weights need one of weighted-mt, fmr"):
+        CorpusConfig(("mt", "star"), weights="random", seed=1)
+    with pytest.raises(ValueError, match="random weights need one of"):
+        verify_corpus(["mt"], [3], weights="random", seed=1)
+
+
+@pytest.mark.parametrize("weights", ["unit", WeightedGraph.unit(complete_graph(3))],
+                         ids=["unit", "file"])
+def test_corpus_rejects_a_seed_without_random_weights(weights):
+    with pytest.raises(ValueError, match="a seed needs random weights"):
+        CorpusConfig(("fmr",), weights=weights, seed=1)
+    with pytest.raises(ValueError, match="a seed needs random weights"):
+        verify_corpus(("fmr",), graphs=[complete_graph(3)], weights=weights, seed=0)
+
+
+@pytest.mark.parametrize("weights", ["unit", WeightedGraph.unit(complete_graph(3))],
+                         ids=["unit", "file"])
+def test_corpus_rejects_trials_without_random_weights(weights):
+    with pytest.raises(ValueError, match="trials=2 needs random weights"):
+        CorpusConfig(("fmr",), weights=weights, trials=2)
+    with pytest.raises(ValueError, match="trials=3 needs random weights"):
+        verify_corpus(("fmr",), graphs=[complete_graph(3)], weights=weights, trials=3)
+
+
 def test_corpus_delta_skips_when_no_clique_of_that_order():
     cfg = CorpusConfig(theorems=("delta",), s_values=(3,))
     reports = reports_for_graph(path_graph(3), cfg)
