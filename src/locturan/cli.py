@@ -62,6 +62,7 @@ from .verify import (
     WEIGHTED_THEOREMS,
     is_counterexample,
     report_csv_row,
+    report_json,
     verify_corpus,
     weightings,
 )
@@ -352,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if is_counterexample(rep) and not first_bad:
                 first_bad.append(rep.graph6)
             if args.format == "json":
-                out.write(json.dumps(rep.to_dict()) + "\n")
+                out.write(report_json(rep) + "\n")
             elif writer is not None:
                 writer.writerow(report_csv_row(rep))
 

@@ -1,7 +1,8 @@
 """Exact rational parsing and rendering.
 
-Every numeric quantity that feeds a verdict is an int or a Fraction; floats
-never enter a verification path.  Rationals are rendered "p/q", with the
+Every numeric quantity that feeds a verdict is an int, a Fraction, or an
+integer numerator over a positive integer denominator; floats never enter a
+verification path.  Rationals are rendered "p/q" in lowest terms, with the
 denominator suppressed when it is 1, which is how str renders an int or a
 Fraction.
 """
@@ -9,11 +10,19 @@ Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den, for a positive den, as "p" or "p/q" in lowest terms; a bool
+    numerator renders as the int it equals."""
+    g = gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
 
 
 def format_rational(x: Fraction | int) -> str:
     """x as "p" or "p/q"; a bool renders as the int it equals."""
-    return str(int(x)) if type(x) is bool else str(x)
+    return format_ratio(x.numerator, x.denominator)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,10 +1,14 @@
 """Exhaustive verifiers for localized path, cycle, matching, and clique bounds.
 
-Every verifier normalizes its inequality to LHS <= RHS over exact rationals,
-reports slack = RHS - LHS, and flags equality as slack == 0 (zero tolerance,
-no floats).  Statuses: "ok" (hypothesis held, bound checked), "violated"
-(negative slack; a counterexample), "hypothesis-not-met" (bound not
-applicable, reason recorded).
+Every verifier normalizes its inequality to LHS <= RHS and states both sides
+as integer numerators over one positive integer denominator.  The report
+keeps those integers: status, equality (slack = RHS - LHS == 0, zero
+tolerance, no floats) and the minimum-slack fold compare them by
+cross-multiplication, and a value is reduced by gcd only when it is
+rendered; lhs, rhs and slack read back as Fractions.  Statuses: "ok"
+(hypothesis held, bound checked), "violated" (negative slack; a
+counterexample), "hypothesis-not-met" (bound not applicable, reason
+recorded).
 
 Bounds covered, with their equality families where one is known:
 
@@ -53,9 +57,11 @@ calling verifiers directly.
 
 from __future__ import annotations
 
+import json
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +77,7 @@ from .graphs import (
     seeded_weights,
     write_graph6,
 )
-from .rationals import format_rational
+from .rationals import format_ratio, format_rational
 from .stats import (
     TabledGraph,
     clique_count,
@@ -96,36 +102,99 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VIOLATED = "violated"
 
 
-@dataclass
-class VerificationReport:
-    theorem: str
-    graph6: str
-    status: str
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-    root: int | None = None
-    s: int | None = None
-    weights: str | None = None
-    family_match: bool | None = None
-    witness: dict | None = None
-    reason: str | None = None
-    slack: Fraction | None = field(init=False)
+# The fields of a report, in the order of its repr and its equality test.
+_REPORT_FIELDS = (
+    "theorem", "graph6", "status", "lhs", "rhs", "root", "s", "weights",
+    "family_match", "witness", "reason", "slack",
+)
 
-    def __post_init__(self) -> None:
-        self.slack = None if self.lhs is None or self.rhs is None else self.rhs - self.lhs
+
+class VerificationReport:
+    """One verifier's verdict on one graph.
+
+    A checked bound lhs <= rhs is kept as two integer numerators over one
+    positive denominator, so that status, equality and slack order are
+    integer comparisons; lhs, rhs and slack read back as Fractions.  The
+    constructor takes rational (int or Fraction) lhs and rhs."""
+
+    def __init__(
+        self,
+        theorem: str,
+        graph6: str,
+        status: str,
+        lhs: Fraction | int | None = None,
+        rhs: Fraction | int | None = None,
+        root: int | None = None,
+        s: int | None = None,
+        weights: str | None = None,
+        family_match: bool | None = None,
+        witness: dict | None = None,
+        reason: str | None = None,
+    ) -> None:
+        self.theorem, self.graph6, self.status = theorem, graph6, status
+        self.root, self.s, self.weights = root, s, weights
+        self.family_match, self.witness, self.reason = family_match, witness, reason
+        self._lnum = self._rnum = None
+        self._den = 1
+        if lhs is not None or rhs is not None:
+            den = self._den = lcm(*(x.denominator for x in (lhs, rhs) if x is not None))
+            if lhs is not None:
+                self._lnum = lhs.numerator * (den // lhs.denominator)
+            if rhs is not None:
+                self._rnum = rhs.numerator * (den // rhs.denominator)
+
+    @property
+    def lhs(self) -> Fraction | None:
+        return None if self._lnum is None else Fraction(self._lnum, self._den)
+
+    @property
+    def rhs(self) -> Fraction | None:
+        return None if self._rnum is None else Fraction(self._rnum, self._den)
+
+    @property
+    def slack(self) -> Fraction | None:
+        if self._lnum is None or self._rnum is None:
+            return None
+        return Fraction(self._rnum - self._lnum, self._den)
 
     @property
     def equality(self) -> bool:
-        return self.status != HYPOTHESIS_NOT_MET and self.slack == 0
+        return (
+            self.status != HYPOTHESIS_NOT_MET
+            and self._lnum is not None
+            and self._lnum == self._rnum
+        )
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in _REPORT_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(_REPORT_FIELDS, self._fields()))
+        return f"VerificationReport({body})"
+
+    def _rendered(self) -> tuple[str | None, str | None, str | None]:
+        """lhs, rhs and slack as format_ratio renders them, None where unset."""
+        ln, rn, den = self._lnum, self._rnum, self._den
+        return (
+            None if ln is None else format_ratio(ln, den),
+            None if rn is None else format_ratio(rn, den),
+            None if ln is None or rn is None else format_ratio(rn - ln, den),
+        )
 
     def to_dict(self) -> dict:
+        lhs, rhs, slack = self._rendered()
         out = {
             "theorem": self.theorem,
             "graph6": self.graph6,
             "status": self.status,
-            "lhs": None if self.lhs is None else format_rational(self.lhs),
-            "rhs": None if self.rhs is None else format_rational(self.rhs),
-            "slack": None if self.slack is None else format_rational(self.slack),
+            "lhs": lhs,
+            "rhs": rhs,
+            "slack": slack,
             "equality": self.equality if self.status != HYPOTHESIS_NOT_MET else None,
             "root": self.root,
             "s": self.s,
@@ -149,23 +218,48 @@ def report_csv_row(rep: VerificationReport) -> list[str]:
     return ["" if d.get(k) is None else str(d.get(k)) for k in CSV_FIELDS]
 
 
-def _bound(theorem: str, lhs: Fraction, rhs: Fraction, **kw) -> VerificationReport:
-    """The report on lhs <= rhs; an int side becomes a Fraction, a Fraction is not copied."""
-    lhs = lhs if type(lhs) is Fraction else Fraction(lhs)
-    rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
-    status = OK if lhs <= rhs else VIOLATED
-    return VerificationReport(theorem, "", status, lhs, rhs, **kw)
+def report_json(rep: VerificationReport) -> str:
+    """json.dumps(rep.to_dict()), written from the report's integers; each
+    field holds a value of its annotated type."""
+    lhs, rhs, slack = ("null" if x is None else f'"{x}"' for x in rep._rendered())
+    equality = "null" if rep.status == HYPOTHESIS_NOT_MET else "true" if rep.equality else "false"
+    root, s, weights, family, reason = rep.root, rep.s, rep.weights, rep.family_match, rep.reason
+    witness = "" if rep.witness is None else f', "witness": {json.dumps(rep.witness)}'
+    return (
+        f'{{"theorem": {_json_str(rep.theorem)}, "graph6": {_json_str(rep.graph6)}, '
+        f'"status": {_json_str(rep.status)}, "lhs": {lhs}, "rhs": {rhs}, '
+        f'"slack": {slack}, "equality": {equality}, '
+        f'"root": {"null" if root is None else root}, '
+        f'"s": {"null" if s is None else s}, '
+        f'"weights": {"null" if weights is None else _json_str(weights)}, '
+        f'"family_match": {"null" if family is None else "true" if family else "false"}, '
+        f'"reason": {"null" if reason is None else _json_str(reason)}{witness}}}'
+    )
+
+
+def _bound(
+    theorem: str, lhs: tuple[int, int], rhs: tuple[int, int], **kw
+) -> VerificationReport:
+    """The report on lhs <= rhs, each a (numerator, positive denominator)
+    pair of ints, kept over one denominator."""
+    (lnum, lden), (rnum, rden) = lhs, rhs
+    if lden != rden:
+        den = lcm(lden, rden)
+        lnum, rnum, lden = lnum * (den // lden), rnum * (den // rden), den
+    rep = VerificationReport(theorem, "", OK if lnum <= rnum else VIOLATED, **kw)
+    rep._lnum, rep._rnum, rep._den = lnum, rnum, lden
+    return rep
 
 
 def _skipped(theorem: str, reason: str, **kw) -> VerificationReport:
     return VerificationReport(theorem, "", HYPOTHESIS_NOT_MET, reason=reason, **kw)
 
 
-def _recip_sum(values: Iterable[int]) -> Fraction:
-    """Sum of 1/x over positive integers x, as one Fraction over their lcm."""
+def _recip_sum(values: Iterable[int]) -> tuple[int, int]:
+    """Sum of 1/x over positive integers x, as (numerator, lcm of the x)."""
     xs = list(values)
     den = lcm(*xs)
-    return Fraction(sum(den // x for x in xs), den)
+    return sum(den // x for x in xs), den
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +328,14 @@ def is_diamond(g: Graph) -> bool:
 def verify_eg_path(g: Graph) -> VerificationReport:
     if g.n == 0:
         return _skipped("eg-path", "empty graph")
-    return _bound("eg-path", Fraction(2 * g.m, g.n), Fraction(longest_path(g)))
+    return _bound("eg-path", (2 * g.m, g.n), (longest_path(g), 1))
 
 
 def verify_eg_cycle(g: Graph) -> VerificationReport:
     if g.n < 3 or not kept(g, is_two_edge_connected):
         return _skipped("eg-cycle", "not 2-edge-connected with n >= 3")
     circumference = max(cycle_profile(g).values.values())
-    return _bound("eg-cycle", Fraction(2 * g.m, g.n - 1), Fraction(circumference))
+    return _bound("eg-cycle", (2 * g.m, g.n - 1), (circumference, 1))
 
 
 def verify_eg_matching(g: Graph) -> VerificationReport:
@@ -249,12 +343,12 @@ def verify_eg_matching(g: Graph) -> VerificationReport:
     if g.n < 2 * mu + 1:
         return _skipped("eg-matching", f"needs n >= 2*mu+1 = {2 * mu + 1}")
     rhs = max(comb(2 * mu + 1, 2), comb(mu, 2) + (g.n - mu) * mu)
-    return _bound("eg-matching", Fraction(g.m), Fraction(rhs))
+    return _bound("eg-matching", (g.m, 1), (rhs, 1))
 
 
 def verify_bbrs(g: Graph) -> VerificationReport:
     total = sum(longest_vpath(g, v) for v in range(g.n))
-    rep = _bound("bbrs", Fraction(g.m), Fraction(total, 2))
+    rep = _bound("bbrs", (g.m, 1), (total, 2))
     rep.family_match = is_disjoint_union_of_cliques(g)
     return rep
 
@@ -263,14 +357,14 @@ def verify_mt_path(g: Graph) -> VerificationReport:
     if g.n == 0:
         return _skipped("mt", "empty graph")
     lhs = _recip_sum(path_profile(g).values.values())
-    return _bound("mt", lhs, Fraction(g.n, 2))
+    return _bound("mt", lhs, (g.n, 2))
 
 
 def verify_zz_cycle(g: Graph) -> VerificationReport:
     if g.n == 0:
         return _skipped("zz", "empty graph")
     lhs = _recip_sum(cycle_profile(g).values.values())
-    return _bound("zz", lhs, Fraction(g.n - 1, 2))
+    return _bound("zz", lhs, (g.n - 1, 2))
 
 
 def verify_local_bbrs(g: Graph, v: int) -> VerificationReport:
@@ -280,15 +374,15 @@ def verify_local_bbrs(g: Graph, v: int) -> VerificationReport:
         return _skipped("local-bbrs", "disconnected", root=v)
     # an edge at v counts 1/(2p), any other edge 1/p
     profile = vpath_profile(g, v).values
-    lhs = _recip_sum(2 * p if v in e else p for e, p in profile.items())
-    rep = _bound("local-bbrs", lhs, Fraction(g.n - 1, 2), root=v)
+    num, den = _recip_sum(2 * p if v in e else p for e, p in profile.items())
+    rep = _bound("local-bbrs", (num, den), (g.n - 1, 2), root=v)
     rep.family_match = is_cliques_sharing_vertex(g, v)
     if g.n >= 2:
-        ell = longest_vpath(g, v)
-        chain = Fraction(2 * g.m - g.degree(v), 2) / ell
-        if lhs < chain:
+        # chain = (2m - d(v)) / (2 ell)
+        chain, chain_den = 2 * g.m - g.degree(v), 2 * longest_vpath(g, v)
+        if num * chain_den < chain * den:
             raise RuntimeError("internal chain inequality failed for rooted path sum")
-        rep.witness = {"chain_lower_bound": format_rational(chain)}
+        rep.witness = {"chain_lower_bound": format_ratio(chain, chain_den)}
     return rep
 
 
@@ -298,10 +392,9 @@ def verify_local_matching(g: Graph) -> VerificationReport:
         return _skipped("local-matching", "no edges")
     lhs = _recip_sum(matching_profile(g).values.values())
     n = g.n
-    boundary = Fraction(5 * mu, 2) + 1
     complete = is_complete_graph(g)
     if n == 2 * mu:
-        rhs = Fraction(n - 1)
+        rhs = (n - 1, 1)
         # For mu >= 3 equality forces a complete graph: the count of edges
         # whose best containing matching has size mu - 1 injects into the
         # non-edges, and 1/(mu*(mu-1)) < 1/mu is strict.  At mu = 2 the two
@@ -311,22 +404,21 @@ def verify_local_matching(g: Graph) -> VerificationReport:
         exceptional = mu == 2 and (is_paw(g) or is_diamond(g))
         family_a = family_b = complete or exceptional
     elif mu == 1:
-        rhs = Fraction(max(3, n - 1))
+        rhs = (max(3, n - 1), 1)
         family_a = family_b = (
             (n == 3 and is_complete_graph(g))
             or (n == 4 and is_triangle_plus_isolated(g))
             or (n >= 4 and is_star(g))
         )
     else:
-        rhs = max(Fraction(2 * mu + 1), Fraction(n) - Fraction(mu, 2))
+        # rhs = max(2mu + 1, n - mu/2); n is compared with the case
+        # boundary 5mu/2 + 1 as 2n with 5mu + 2
+        rhs = (max(4 * mu + 2, 2 * n - mu), 2)
+        twice_n, boundary = 2 * n, 5 * mu + 2
         in_union = is_clique_union_isolated(g, 2 * mu + 1)
         in_join = is_join_clique_empty(g, mu)
-        family_a = (Fraction(n) <= boundary and in_union) or (
-            Fraction(n) >= boundary and in_join
-        )
-        family_b = (Fraction(n) == boundary and in_union) or (
-            Fraction(n) >= boundary and in_join
-        )
+        family_a = (twice_n <= boundary and in_union) or (twice_n >= boundary and in_join)
+        family_b = (twice_n == boundary and in_union) or (twice_n >= boundary and in_join)
     rep = _bound("local-matching", lhs, rhs)
     rep.family_match = family_a
     rep.witness = {"family_strict_boundary_reading": family_b}
@@ -342,16 +434,16 @@ def verify_weighted_mt(wg: WeightedGraph) -> VerificationReport:
     if g.n == 0:
         return _skipped("weighted-mt", "empty graph")
     den, terms = weighted_ratio_terms(wg)
-    lhs = Fraction(sum(terms.values()), den)
-    return _bound("weighted-mt", lhs, Fraction(g.n, 2))
+    return _bound("weighted-mt", (sum(terms.values()), den), (g.n, 2))
 
 
 def verify_fmr(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
     if g.n == 0:
         return _skipped("fmr", "empty graph")
-    lhs = Fraction(2) * wg.total_weight / g.n
-    return _bound("fmr", lhs, max_weight_path(wg))
+    total, heaviest = wg.total_weight, max_weight_path(wg)
+    lhs = (2 * total.numerator, total.denominator * g.n)
+    return _bound("fmr", lhs, (heaviest.numerator, heaviest.denominator))
 
 
 def verify_bondy_fan(wg: WeightedGraph) -> VerificationReport:
@@ -361,8 +453,9 @@ def verify_bondy_fan(wg: WeightedGraph) -> VerificationReport:
     heaviest = max_weight_cycle(wg)
     if heaviest is None:
         raise RuntimeError("2-edge-connected graph with no cycle; cycle search is corrupt")
-    lhs = Fraction(2) * wg.total_weight / (g.n - 1)
-    return _bound("bondy-fan", lhs, heaviest)
+    total = wg.total_weight
+    lhs = (2 * total.numerator, total.denominator * (g.n - 1))
+    return _bound("bondy-fan", lhs, (heaviest.numerator, heaviest.denominator))
 
 
 def verify_ning_vpath(g: Graph, v: int) -> VerificationReport:
@@ -372,16 +465,15 @@ def verify_ning_vpath(g: Graph, v: int) -> VerificationReport:
         return _skipped("ning-vpath", "disconnected", root=v)
     if g.n < 2:
         return _skipped("ning-vpath", "needs n >= 2", root=v)
-    lhs = Fraction(2 * g.m - g.degree(v), g.n - 1)
-    return _bound("ning-vpath", lhs, Fraction(longest_vpath(g, v)), root=v)
+    lhs = (2 * g.m - g.degree(v), g.n - 1)
+    return _bound("ning-vpath", lhs, (longest_vpath(g, v), 1), root=v)
 
 
 def verify_gt_path(g: Graph, s: int) -> VerificationReport:
     if s < 2:
         raise ValueError("clique order s must be >= 2")
     lhs = _recip_sum(p - s + 2 for p in clique_path_profile(g, s).values.values())
-    rhs = Fraction(clique_count(g, s - 1), s)
-    return _bound("gt-path", lhs, rhs, s=s)
+    return _bound("gt-path", lhs, (clique_count(g, s - 1), s), s=s)
 
 
 def verify_gt_star(g: Graph, s: int) -> VerificationReport:
@@ -391,13 +483,12 @@ def verify_gt_star(g: Graph, s: int) -> VerificationReport:
     free = clique_star_profile(g, s).values
     if any(free[k] < c for k, c in centered.items()):
         raise RuntimeError("free-center star smaller than clique-centered star")
-    lhs = _recip_sum(c - s + 2 for c in centered.values())
-    free_lhs = _recip_sum(f - s + 2 for f in free.values())
-    rhs = Fraction(clique_count(g, s - 1), s)
-    rep = _bound("gt-star", lhs, rhs, s=s)
+    num, den = _recip_sum(c - s + 2 for c in centered.values())
+    free_num, free_den = _recip_sum(f - s + 2 for f in free.values())
+    rep = _bound("gt-star", (num, den), (clique_count(g, s - 1), s), s=s)
     rep.witness = {
-        "free_center_lhs": format_rational(free_lhs),
-        "readings_agree": free_lhs == lhs,
+        "free_center_lhs": format_ratio(free_num, free_den),
+        "readings_agree": free_num * den == num * free_den,
     }
     return rep
 
@@ -406,7 +497,7 @@ def verify_star_prop(g: Graph) -> VerificationReport:
     if g.n == 0:
         return _skipped("star", "empty graph")
     lhs = _recip_sum(star_profile(g).values.values())
-    return _bound("star", lhs, Fraction(g.n, 2))
+    return _bound("star", lhs, (g.n, 2))
 
 
 def verify_delta_lemma(g: Graph, s: int) -> VerificationReport:
@@ -415,12 +506,13 @@ def verify_delta_lemma(g: Graph, s: int) -> VerificationReport:
     ns = clique_count(g, s)
     if ns == 0:
         return _skipped("delta", f"no cliques of order {s}", s=s)
-    lhs = Fraction((s + 1) * clique_count(g, s + 1), ns) + (s - 1)
+    # lhs = (s+1) n_{s+1}/n_s + s - 1, over n_s
+    num = (s + 1) * clique_count(g, s + 1) + (s - 1) * ns
     delta = max(g.degree(v) for v in range(g.n))
-    rep = _bound("delta", lhs, Fraction(delta), s=s)
+    rep = _bound("delta", (num, ns), (delta, 1), s=s)
     # the same clique-ratio quantity also lower-bounds the longest path
     lp = longest_path(g)
-    path_ok = lhs <= lp
+    path_ok = num <= lp * ns
     rep.witness = {"path_form_rhs": lp, "path_form_ok": path_ok}
     if rep.status == OK and not path_ok:
         rep.status = VIOLATED
@@ -647,19 +739,21 @@ def _absorb(summary: TheoremSummary, rep: VerificationReport, failures: list[str
     if rep.status == HYPOTHESIS_NOT_MET:
         summary.hypothesis_not_met += 1
         return
+    slack, den = rep._rnum - rep._lnum, rep._den
     if rep.status == VIOLATED:
         summary.violated += 1
         failures.append(
             f"{rep.theorem}: bound violated on {rep.graph6} "
-            f"(slack {format_rational(rep.slack)}, witness {_witness_of(rep)})"
+            f"(slack {format_ratio(slack, den)}, witness {_witness_of(rep)})"
         )
     else:
         summary.ok += 1
-    slack = rep.slack
-    if summary.min_slack is None or slack < summary.min_slack:
-        summary.min_slack = slack
+    # slack/den < low, both denominators positive
+    low = summary.min_slack
+    if low is None or slack * low.denominator < low.numerator * den:
+        summary.min_slack = Fraction(slack, den)
         summary.min_slack_witness = _witness_of(rep)
-    if rep.equality:
+    if slack == 0:
         summary.equality_count += 1
         summary.equalities.append(_witness_of(rep))
     if _family_mismatch(rep):

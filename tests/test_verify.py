@@ -5,6 +5,7 @@ case, and its skip or error behavior.  The corpus driver tests cover
 aggregation, family cross-checks, streaming order, and label formats.
 """
 
+import json
 import zlib
 from collections import defaultdict
 from fractions import Fraction
@@ -43,6 +44,7 @@ from locturan.verify import (
     _recip_sum,
     is_counterexample,
     report_csv_row,
+    report_json,
     reports_for_graph,
     verify_bbrs,
     verify_bondy_fan,
@@ -534,14 +536,15 @@ def test_format_rational_renders_every_accepted_input():
 
 
 def test_bound_stores_fractions_whatever_the_verifier_passes():
-    rep = _bound("mt", 1, 2)
+    rep = _bound("mt", (1, 1), (2, 1))
     assert type(rep.lhs) is Fraction and type(rep.rhs) is Fraction
+    assert type(rep.slack) is Fraction
     row = dict(zip(CSV_FIELDS, report_csv_row(rep)))
     assert (row["status"], row["lhs"], row["rhs"], row["slack"]) == ("ok", "1", "2", "1")
-    third = Fraction(1, 3)
-    rep = _bound("mt", third, True)
-    assert rep.lhs is third and type(rep.rhs) is Fraction
+    rep = _bound("mt", (1, 3), (True, 1))
+    assert rep.lhs == Fraction(1, 3) and type(rep.rhs) is Fraction and rep.rhs == 1
     assert rep.to_dict()["rhs"] == "1" and rep.to_dict()["slack"] == "2/3"
+    assert report_json(rep) == json.dumps(rep.to_dict())
 
 
 def test_report_to_dict_skipped_fields():
@@ -922,7 +925,8 @@ def test_driver_encodes_graph6_and_derives_weightings_once(monkeypatch):
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=30))
 @example([])
 def test_recip_sum_matches_fraction_sum(xs):
-    assert _recip_sum(xs) == sum((Fraction(1, x) for x in xs), Fraction(0))
+    num, den = _recip_sum(xs)
+    assert den > 0 and Fraction(num, den) == sum((Fraction(1, x) for x in xs), Fraction(0))
 
 
 def test_corpus_on_report_streams_every_report():
