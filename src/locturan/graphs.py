@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 
 MAX_VERTICES = 32
 CANON_CAP = 9  # largest order for canonical forms and enumeration
@@ -431,9 +432,11 @@ def is_two_edge_connected(g: Graph) -> bool:
 
 
 class WeightedGraph:
-    """A Graph plus one nonnegative rational weight per edge."""
+    """A Graph plus one nonnegative rational weight per edge, as `weights`,
+    {e: Fraction}, and in the integer form computed once: `numerators[e]` =
+    w(e) * `denominator`, the lcm of the reduced denominators (1 if edgeless)."""
 
-    __slots__ = ("graph", "weights")
+    __slots__ = ("graph", "weights", "denominator", "numerators")
 
     def __init__(self, graph: Graph, weights: dict[tuple[int, int], Fraction | int]):
         norm: dict[tuple[int, int], Fraction] = {}
@@ -441,7 +444,7 @@ class WeightedGraph:
             e = graph.check_edge((u, v))
             if e in norm:
                 raise ValueError(f"duplicate weight for edge {e}")
-            w = Fraction(w)
+            w = w if type(w) is Fraction else Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight {w} on edge {e}")
             norm[e] = w
@@ -450,17 +453,19 @@ class WeightedGraph:
             raise ValueError(f"missing weights for edges {missing}")
         self.graph = graph
         self.weights = {e: norm[e] for e in graph.edges}
+        d = self.denominator = lcm(*(w.denominator for w in self.weights.values()))
+        self.numerators = {e: w.numerator * (d // w.denominator) for e, w in self.weights.items()}
 
     @classmethod
     def unit(cls, graph: Graph) -> "WeightedGraph":
-        return cls(graph, {e: Fraction(1) for e in graph.edges})
+        return cls(graph, dict.fromkeys(graph.edges, Fraction(1)))
 
     def weight(self, u: int, v: int) -> Fraction:
         return self.weights[self.graph.check_edge((u, v))]
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.numerators.values()), self.denominator)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -509,7 +514,7 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: expected header 'n m'")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = parse_int(parts[0]), parse_int(parts[1])
     except ValueError:
         raise ValueError(f"line {lineno}: expected header 'n m'") from None
     if len(rows) - 1 != m:
@@ -521,7 +526,7 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'u v weight'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_int(parts[0]), parse_int(parts[1])
             w = parse_rational(parts[2])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: expected 'u v weight'") from None

@@ -9,8 +9,11 @@ Fraction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -25,9 +28,14 @@ def format_rational(x: Fraction | int) -> str:
     return format_ratio(x.numerator, x.denominator)
 
 
+def parse_int(text: str) -> int:
+    """A plain decimal integer: an optional sign, then ASCII digits only."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "p" or "p/q", each part a plain decimal integer."""
+    num, slash, den = text.strip().partition("/")
+    return Fraction(parse_int(num), parse_int(den) if slash else 1)

@@ -28,15 +28,15 @@ and n + 1 level integers; no per-edge, per-root or per-clique tables.
 
 When every edge weighs the same c, the heaviest path through e weighs
 c p(e) and the heaviest cycle c times the circumference, so the weighted
-statistics read those from the graph's engine.  Any other weighting is
-scaled to integers by the lcm d of its denominators and runs one max-weight
-subset DP (Bellman 1962; Held & Karp 1962) over reached states only: t[mask]
-is None, or maps each end v of a path from a root on exactly the vertices of
-mask to the heaviest such path.  Rooted at every vertex, with the heaviest
-continuation from each state, it gives w(p(e)) for every edge: one profile
-that yields the heaviest path and each w(e)/w(p(e)) as an integer over one
-denominator.  Rooted at a cycle's least vertex r, on the vertices >= r, it
-gives the heaviest cycle.  Each result is divided by d once.
+statistics read those from the graph's engine.  Any other weighting runs on
+the numerators over the one denominator d that WeightedGraph keeps, in one
+max-weight subset DP (Bellman 1962; Held & Karp 1962) over reached states
+only: t[mask] is None, or maps each end v of a path from a root on exactly
+the vertices of mask to the heaviest such path.  Rooted at every vertex,
+with the heaviest continuation from each state, it gives w(p(e)) for every
+edge: one profile that yields the heaviest path and each w(e)/w(p(e)) as an
+integer over one denominator.  Rooted at a cycle's least vertex r, on the
+vertices >= r, it gives the heaviest cycle.  Each result is divided by d once.
 
 clique_count and both clique profiles read the listing of the s-vertex
 cliques.  p(S) takes one size read if |S| = 1, p(e) if |S| = 2 (the
@@ -480,19 +480,16 @@ def clique_star_profile(
 # weighted statistics
 
 
-def _scaled(wg: WeightedGraph) -> tuple[int, list[list[tuple[int, int]]]]:
-    """d, the lcm of the weight denominators, and per vertex v the pairs
-    (u, d * w(vu)) over the neighbours u of v."""
+def _scaled(wg: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex v, the pairs (u, numerators[uv]) over the neighbours u of v."""
     g = wg.graph
     if g.n > TABLE_CAP:
         raise ValueError(f"subset-DP statistics support n <= {TABLE_CAP}, got {g.n}")
-    d = lcm(*(w.denominator for w in wg.weights.values()))
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (a, b), w in wg.weights.items():
-        w = w.numerator * (d // w.denominator)
+    for (a, b), w in wg.numerators.items():
         nbrs[a].append((b, w))
         nbrs[b].append((a, w))
-    return d, nbrs
+    return nbrs
 
 
 def _heaviest(
@@ -527,11 +524,9 @@ def max_weight_path(wg: WeightedGraph) -> Fraction:
 def weighted_ratio_terms(wg: WeightedGraph) -> tuple[int, dict[tuple[int, int], int]]:
     """D and integers x_e with w(e)/w(p(e)) = x_e/D, and x_e = 0 on a
     zero-weight edge, so any sum of these ratios is one integer over D."""
-    wp = weighted_path_profile(wg).values
-    d = lcm(*(w.denominator for w in wg.weights.values()))
+    wp, d = weighted_path_profile(wg).values, wg.denominator
     # w(e)/w(p(e)) = a/b with the integers a = d w(e) and b = d w(p(e))
-    ab = {e: (w.numerator * d // w.denominator, wp[e].numerator * d // wp[e].denominator)
-          for e, w in wg.weights.items()}
+    ab = {e: (a, wp[e].numerator * d // wp[e].denominator) for e, a in wg.numerators.items()}
     den = lcm(*(b for a, b in ab.values() if a))
     return den, {e: a * (den // b) if a else 0 for e, (a, b) in ab.items()}
 
@@ -545,13 +540,13 @@ def weighted_path_ratios(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
 def _uniform_weight(wg: WeightedGraph) -> Fraction | None:
     """c when every edge weighs c, else None (also on edgeless graphs).
     Then the heaviest path or cycle through an edge is a longest one."""
-    ws = set(wg.weights.values())
-    return ws.pop() if len(ws) == 1 else None
+    return wg.weights[wg.graph.edges[0]] if len(set(wg.numerators.values())) == 1 else None
 
 
 def weighted_path_profile(wg: WeightedGraph) -> EdgeStatProfile:
     """w(p(e)) for every edge: the heaviest path through e."""
-    return kept(wg.graph, _weighted_path_profile, wg, key=("w_p", *wg.weights.values()))
+    key = ("w_p", wg.denominator, *wg.numerators.values())
+    return kept(wg.graph, _weighted_path_profile, wg, key=key)
 
 
 def _weighted_path_profile(g: Graph, wg: WeightedGraph) -> EdgeStatProfile:
@@ -565,7 +560,7 @@ def _weighted_path_profile(g: Graph, wg: WeightedGraph) -> EdgeStatProfile:
 def _heaviest_through_edges(wg: WeightedGraph) -> dict[tuple[int, int], Fraction]:
     """w(p(e)) for every edge, by the subset DP rooted at every vertex."""
     g = wg.graph
-    d, nbrs = _scaled(wg)
+    nbrs = _scaled(wg)
     f = _heaviest(nbrs, range(g.n))
     # The heaviest path through ab is a path ending at a with vertex set L,
     # the edge ab, and a path from b that avoids L.  From the full mask down,
@@ -586,7 +581,7 @@ def _heaviest_through_edges(wg: WeightedGraph) -> dict[tuple[int, int], Fraction
                         if val + x > best[a][b]:
                             best[a][b] = val + x
                 row[a] = cont
-    return {(a, b): Fraction(best[a][b], d) for a, b in g.edges}
+    return {(a, b): Fraction(best[a][b], wg.denominator) for a, b in g.edges}
 
 
 def max_weight_path_through_edge(wg: WeightedGraph, e: tuple[int, int]) -> Fraction:
@@ -607,7 +602,7 @@ def _heaviest_cycle(wg: WeightedGraph) -> Fraction | None:
     """The heaviest cycle by the subset DP.  For each choice of the cycle's
     least vertex r, grow paths from r through vertices > r and close those
     of at least 3 vertices back to r."""
-    d, nbrs = _scaled(wg)
+    nbrs = _scaled(wg)
     best = -1
     for r in range(len(nbrs)):
         sub = [[(u - r, w) for u, w in nbrs[v] if u >= r] for v in range(r, len(nbrs))]
@@ -616,4 +611,4 @@ def _heaviest_cycle(wg: WeightedGraph) -> Fraction | None:
                 for u, w in sub[0]:
                     if u in row and row[u] + w > best:
                         best = row[u] + w
-    return None if best < 0 else Fraction(best, d)
+    return None if best < 0 else Fraction(best, wg.denominator)

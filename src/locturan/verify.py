@@ -441,8 +441,8 @@ def verify_fmr(wg: WeightedGraph) -> VerificationReport:
     g = wg.graph
     if g.n == 0:
         return _skipped("fmr", "empty graph")
-    total, heaviest = wg.total_weight, max_weight_path(wg)
-    lhs = (2 * total.numerator, total.denominator * g.n)
+    heaviest = max_weight_path(wg)
+    lhs = (2 * sum(wg.numerators.values()), wg.denominator * g.n)
     return _bound("fmr", lhs, (heaviest.numerator, heaviest.denominator))
 
 
@@ -453,8 +453,7 @@ def verify_bondy_fan(wg: WeightedGraph) -> VerificationReport:
     heaviest = max_weight_cycle(wg)
     if heaviest is None:
         raise RuntimeError("2-edge-connected graph with no cycle; cycle search is corrupt")
-    total = wg.total_weight
-    lhs = (2 * total.numerator, total.denominator * (g.n - 1))
+    lhs = (2 * sum(wg.numerators.values()), wg.denominator * (g.n - 1))
     return _bound("bondy-fan", lhs, (heaviest.numerator, heaviest.denominator))
 
 

@@ -215,6 +215,18 @@ def test_stats_weights_file_is_a_graph_source_for_other_stats(tmp_path, stat):
     assert out == run_cli(["stats", "--stat", stat], stdin="Bw\n")[1]
 
 
+@pytest.mark.parametrize("argv", [["stats", "--stat", "w_p"], ["verify", "--theorem", "fmr"]],
+                         ids=["stats", "verify"])
+def test_weights_file_with_digit_group_underscores_is_refused(tmp_path, argv):
+    """A weight written 1_0 is not read as 10: the command exits 2 with the
+    line's message and writes nothing to stdout."""
+    wfile = tmp_path / "tri.wg"
+    wfile.write_text("3 3\n0 1 1\n0 2 1_0\n1 2 1\n")
+    code, out, err = run_cli([*argv, "--weights", "file", "--weights-file", str(wfile)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {wfile}: line 3: expected 'u v weight'\n"
+
+
 def test_stats_input_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("Bw\n\n# fine\nA\n")

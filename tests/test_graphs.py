@@ -1,7 +1,9 @@
 """Graph type, graph6 codec, canonical forms, enumeration, connectivity."""
 
 import hashlib
+import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -48,6 +50,7 @@ from locturan.graphs import (
     write_weighted_graph,
 )
 from locturan import graphs
+from locturan.rationals import parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +493,62 @@ def test_weighted_parse_splits_lines_only_at_newline():
         parse_weighted_graph("# c\f\n3 1\n0 1 x\n")
     wg = parse_weighted_graph("2 1\r\n0 1 1/2\f\r\n")
     assert wg.weights == {(0, 1): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1 1_0\n1 2 1\n", "line 2: expected 'u v weight'"),
+    ("3 1\n0_1 2 3\n", "line 2: expected 'u v weight'"),
+    ("3 1\n0 1 1/0_3\n", "line 2: expected 'u v weight'"),
+    ("3_0 2\n0 1 1\n1 2 1\n", "line 1: expected header 'n m'"),
+    ("3 1\n0 1 \u0663\n", "line 2: expected 'u v weight'"),  # an Arabic-Indic 3
+], ids=["weight", "vertex", "denominator", "header", "non-ascii-digit"])
+def test_weighted_parse_takes_plain_decimal_integers_only(text, message):
+    """int() also reads digit-group underscores and non-ASCII digits; every
+    integer field of the file is an optional sign and ASCII digits only."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_weighted_graph(text)
+
+
+def test_parse_rational_takes_signed_decimal_parts():
+    assert parse_rational("+3/-4") == Fraction(-3, 4)
+    assert parse_rational(" 007 ") == 7
+    for text in ("1_0", "1/0_3", "1/2/3", "", "/2", "3/", "1.5", "0x1"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+
+
+_WEIGHT = st.one_of(
+    st.integers(0, 30),
+    st.fractions(min_value=0, max_value=30, max_denominator=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_weighted_graph_keeps_one_exact_form(n, data):
+    """denominator is the lcm of the reduced denominators (1 if edgeless)
+    and numerators[e] / denominator is w(e), over ints, p/q, zeros and
+    all-zero weightings; equal weightings have equal forms, whatever the
+    type and order of the weights they were given."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ())
+    zero = data.draw(st.booleans())
+    given_weights = {e: 0 if zero else data.draw(_WEIGHT) for e in g.edges}
+    wg = WeightedGraph(g, given_weights)
+    assert wg.denominator == math.lcm(*(Fraction(w).denominator for w in given_weights.values()))
+    assert list(wg.numerators) == list(g.edges)
+    for e, w in given_weights.items():
+        assert type(wg.numerators[e]) is int
+        assert Fraction(wg.numerators[e], wg.denominator) == wg.weights[e] == w
+        assert type(w) is not Fraction or wg.weights[e] is w
+    assert wg.total_weight == sum(map(Fraction, given_weights.values()), Fraction(0))
+    twin = WeightedGraph(g, {e: Fraction(w) for e, w in reversed(given_weights.items())})
+    assert twin == wg
+    assert (twin.denominator, twin.numerators) == (wg.denominator, wg.numerators)
+    uniform = len(set(wg.weights.values())) == 1
+    assert uniform == (len(set(wg.numerators.values())) == 1)
 
 
 def test_seeded_weights_reproducible():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import zlib
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PROOF_N7_ARGV,
+    DigestSink,
     all_matchings,
     frozen_corpus,
     naive_c_edge,
@@ -812,6 +815,50 @@ def test_equal_weightings_of_one_graph_share_one_profile(monkeypatch):
     cfg = CorpusConfig(("weighted-mt", "fmr"), weights=plain)
     assert [r.weights for r in reports_for_graph(complete_graph(4), cfg)] == ["file"] * 2
     assert roots == [range(4)] * 5
+
+
+def test_weightings_with_equal_numerators_keep_their_own_profiles():
+    """A TabledGraph keeps a heaviest-path profile under the weighting's
+    denominator and numerators, so weightings whose numerators agree over
+    different denominators do not share one."""
+    g = TabledGraph(path_graph(3))
+    for a, b in ((1, 1), (1, 2)):
+        whole = WeightedGraph(g, {(0, 1): a, (1, 2): b})
+        thirds = WeightedGraph(g, {(0, 1): Fraction(a, 3), (1, 2): Fraction(b, 3)})
+        assert whole.numerators == thirds.numerators
+        assert (whole.denominator, thirds.denominator) == (1, 3)
+        assert weighted_path_profile(whole).values == dict.fromkeys(g.edges, a + b)
+        assert weighted_path_profile(thirds).values == dict.fromkeys(g.edges, Fraction(a + b, 3))
+
+
+def test_unit_proof_hashes_no_fraction(monkeypatch):
+    """Over the n <= 7 JSON proof, the weighted statistics and bounds read
+    each unit weighting's integer form: no Fraction is hashed, and graphs.py
+    builds one Fraction per class, the weight 1 that its edges share."""
+    classes = len(frozen_corpus(7))
+    hashed = built = 0
+    real_new, real_hash = Fraction.__new__, Fraction.__hash__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += sys._getframe(1).f_globals["__name__"] == "locturan.graphs"
+        return real_new(cls, *args, **kwargs)
+
+    def counting_hash(self):
+        nonlocal hashed
+        hashed += 1
+        return real_hash(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert locturan.cli.main(list(PROOF_N7_ARGV)) == 0
+    monkeypatch.undo()
+    assert sink.hash.hexdigest() == (
+        "f1cd01a6be2e932fadf787fcf74068b57e44007b48c437d6cc2ecfd5805676b1"
+    )
+    assert (hashed, built) == (0, classes) == (0, 1252)
 
 
 def test_weighted_stats_reject_over_cap_graph():
