@@ -12,7 +12,10 @@ Input is a stream of graph6 lines ("-" or omitted means standard input),
 read as `graphs.data_lines` reads it: lines end at "\n", and blank lines and
 "#" comments are skipped.  Output goes to --output or standard output.
 Flags, input and the output file are checked before anything is written;
-then each graph's records are written as soon as they are computed.  All
+then each graph's records are written as soon as they are computed.  An
+integer in a flag is plain decimal (`rationals.parse_int`).  This module
+parses flag text; `verify.CorpusConfig` decides which verify runs are
+valid, and its ValueError is printed as the usage error.  All
 arithmetic is exact; rationals render as "p/q".  Identical invocations
 produce byte-identical output.
 
@@ -28,7 +31,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .covers import bound_from_cover, find_spdc, write_cover
 from .graphs import (
@@ -43,7 +46,7 @@ from .graphs import (
     write_graph6,
 )
 from .matching import gallai_edmonds, k_closure
-from .rationals import format_rational
+from .rationals import format_rational, parse_int
 from .stats import (
     TABLE_CAP,
     clique_path_profile,
@@ -59,13 +62,17 @@ from .verify import (
     ALL_THEOREMS,
     CSV_FIELDS,
     ROOTED_THEOREMS,
-    WEIGHTED_THEOREMS,
+    CorpusConfig,
+    check_weights,
     is_counterexample,
     report_csv_row,
     report_json,
     verify_corpus,
     weightings,
 )
+
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -139,9 +146,9 @@ def _parse_n_spec(spec: str) -> list[int]:
     try:
         if "-" in spec:
             lo_s, hi_s = spec.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = parse_int(lo_s), parse_int(hi_s)
         else:
-            lo = hi = int(spec)
+            lo = hi = parse_int(spec)
     except ValueError:
         raise UsageError(f"bad --n value {spec!r}; expected N or LO-HI") from None
     if lo < 1 or hi < lo:
@@ -151,39 +158,26 @@ def _parse_n_spec(spec: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_theorems(values: list[str]) -> list[str]:
-    names: list[str] = []
-    for chunk in values:
-        names.extend(tok.strip() for tok in chunk.split(",") if tok.strip())
+def _parse_theorems(values: list[str]) -> tuple[str, ...]:
+    names = tuple(tok.strip() for chunk in values for tok in chunk.split(",") if tok.strip())
     if values and not names:
         raise UsageError("--theorem names no theorem; give ids or 'all'")
-    if not names or names == ["all"]:
-        return list(ALL_THEOREMS)
-    for i, name in enumerate(names):
-        if name not in ALL_THEOREMS:
-            known = ", ".join(ALL_THEOREMS)
-            raise UsageError(f"unknown theorem {name!r}; known: {known}")
-        if name in names[:i]:
-            raise UsageError(f"theorem {name!r} given more than once")
-    return names
+    return ALL_THEOREMS if names in ((), ("all",)) else names
 
 
 def _parse_s_list(spec: str) -> tuple[int, ...]:
     try:
-        vals = tuple(int(tok) for tok in spec.split(",") if tok.strip())
+        return tuple(parse_int(tok.strip()) for tok in spec.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"bad --s list {spec!r}") from None
-    if not vals or any(s < 1 for s in vals) or len(set(vals)) != len(vals):
-        raise UsageError(f"bad --s list {spec!r}; expected distinct orders >= 1")
-    return vals
 
 
-def _check_seed(args: argparse.Namespace) -> None:
-    """--weights random and --seed come together, or neither is given."""
-    if args.weights == "random" and args.seed is None:
-        raise UsageError("--weights random requires --seed")
-    if args.seed is not None and args.weights != "random":
-        raise UsageError("--seed requires --weights random")
+def _checked(rule: Callable[..., T], *args, **kwargs) -> T:
+    """rule(*args, **kwargs), its ValueError raised as a UsageError."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_weights(args: argparse.Namespace) -> str | WeightedGraph:
@@ -256,7 +250,8 @@ def _stat_records(
         extra = {}
         if args.stat in ("p_S", "s_K"):
             prof_fn = clique_path_profile if args.stat == "p_S" else clique_star_profile
-            prof, extra = prof_fn(g, args.s), {"s": args.s}
+            s = 2 if args.s is None else args.s
+            prof, extra = prof_fn(g, s), {"s": s}
         elif args.stat == "p_v":
             prof, extra = vpath_profile(g, args.root), {"root": args.root}
         elif args.stat == "w_p":
@@ -269,14 +264,18 @@ def _stat_records(
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.s < 1:
-        raise UsageError(f"--s must be >= 1, got {args.s}")
+    if args.s is not None:
+        if args.stat not in ("p_S", "s_K"):
+            raise UsageError("--s applies only to --stat p_S or s_K")
+        if args.s < 1:
+            raise UsageError(f"--s must be >= 1, got {args.s}")
+    if args.root is not None and args.stat != "p_v":
+        raise UsageError("--root applies only to --stat p_v")
     if args.stat == "p_v" and args.root is None:
         raise UsageError("stat p_v requires --root")
     if args.weights == "random" and args.stat != "w_p":
         raise UsageError("--weights random applies only to --stat w_p")
-    if args.stat == "w_p" or args.seed is not None:
-        _check_seed(args)
+    _checked(check_weights, args.weights, args.seed)
     if args.input is not None and args.weights == "file":
         raise UsageError("stats takes one graph source, got --input and --weights file")
     weights = _load_weights(args)
@@ -314,34 +313,23 @@ def _check_corpus_source(args: argparse.Namespace) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_corpus_source(args)
-    theorems = _parse_theorems(args.theorem)
     roots: str | int = args.roots
     if roots != "all":
         try:
-            roots = int(roots)
+            roots = parse_int(roots)
         except ValueError:
             raise UsageError(f"bad --roots value {args.roots!r}") from None
-        if roots < 0:
-            raise UsageError(f"--roots must be 'all' or >= 0, got {roots}")
-    _check_seed(args)
-    s_values = _parse_s_list(args.s)
-    if {"gt-path", "gt-star"} & set(theorems) and min(s_values) < 2:
-        raise UsageError(f"gt-path and gt-star need --s values >= 2, got {args.s}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.trials != 1 and args.weights != "random":
-        raise UsageError("--trials requires --weights random")
-    weights = _load_weights(args)
+    cfg = _checked(CorpusConfig, _parse_theorems(args.theorem), roots=roots,
+                   s_values=_parse_s_list(args.s), weights=_load_weights(args),
+                   seed=args.seed, trials=args.trials)
     if args.n is None:
-        corpus = dict(graphs=_input_graphs(args, weights))
+        corpus = dict(graphs=_input_graphs(args, cfg.weights))
     else:
         corpus = dict(ns=_parse_n_spec(args.n), connected_only=args.connected)
     # a root past every graph's last vertex would make every rooted report a skip
     top = max(corpus.get("ns") or [g.n for g in corpus["graphs"]], default=0)
-    if roots != "all" and roots >= top and set(ROOTED_THEOREMS) & set(theorems):
+    if roots != "all" and roots >= top and set(ROOTED_THEOREMS) & set(cfg.theorems):
         raise UsageError(f"--roots {roots} fits no graph; the largest order is {top}")
-    if args.weights == "random" and not set(WEIGHTED_THEOREMS) & set(theorems):
-        raise UsageError("--weights random needs a weighted theorem: " + ", ".join(WEIGHTED_THEOREMS))
 
     first_bad: list[str] = []
     with _output(args.output) as out:
@@ -357,16 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elif writer is not None:
                 writer.writerow(report_csv_row(rep))
 
-        result = verify_corpus(
-            theorems,
-            roots=roots,
-            s_values=s_values,
-            weights=weights,
-            seed=args.seed,
-            trials=args.trials,
-            on_report=sink,
-            **corpus,
-        )
+        result = verify_corpus(**vars(cfg), on_report=sink, **corpus)
 
         if args.format == "json":
             out.write(json.dumps({"aggregate": result.to_dict()}) + "\n")
@@ -374,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             header = ["theorem", "checked", "ok", "skipped", "violated",
                       "equalities", "min-slack"]
             out.write(" ".join(header) + "\n")
-            for thm in theorems:
+            for thm in cfg.theorems:
                 s = result.summaries[thm]
                 slack = "" if s.min_slack is None else format_rational(s.min_slack)
                 out.write(
@@ -395,7 +374,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spdc(args: argparse.Namespace) -> int:
-    _check_seed(args)
+    _checked(check_weights, args.weights, args.seed)
     weights = _load_weights(args)
     graphs = _read_graphs(args.input, capped=True)
     if isinstance(weights, WeightedGraph) and any(g != weights.graph for g in graphs):
@@ -483,7 +462,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", choices=("unit", "random", "file"), default="unit")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=parse_int, default=None,
                    help="required with --weights random")
     p.add_argument("--weights-file", metavar="PATH", default=None,
                    help="weighted-graph file for --weights file")
@@ -506,8 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="dump one exact statistic per edge or clique")
     p.add_argument("--stat", required=True,
                    choices=("p", "c", "s", "mu", "p_v", "w_p", "p_S", "s_K"))
-    p.add_argument("--root", type=int, default=None, help="root vertex for p_v")
-    p.add_argument("--s", type=int, default=2, help="clique order for p_S / s_K")
+    p.add_argument("--root", type=parse_int, default=None, help="root vertex for p_v")
+    p.add_argument("--s", type=parse_int, default=None,
+                   help="clique order for p_S / s_K (default 2)")
     _add_weight_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_stats)
@@ -519,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--roots", default="all", help="'all' or a single root vertex")
     p.add_argument("--s", default="2,3,4", help="comma list of clique orders")
-    p.add_argument("--trials", type=int, default=1,
+    p.add_argument("--trials", type=parse_int, default=1,
                    help="random weightings per graph")
     _add_weight_flags(p)
     _add_io_flags(p)
@@ -531,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spdc)
 
     p = sub.add_parser("closure", help="compute the k-closure and added edges")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
     _add_io_flags(p)
     p.set_defaults(func=cmd_closure)
 

@@ -515,10 +515,14 @@ def _heaviest(
     return t
 
 
+# max_weight_path's answer on an edgeless graph, one Fraction for every call
+_ZERO = Fraction(0)
+
+
 def max_weight_path(wg: WeightedGraph) -> Fraction:
     """Largest total weight of a simple path (0 for empty or edgeless graphs).
     Weights are nonnegative, so some heaviest path runs through an edge."""
-    return max(weighted_path_profile(wg).values.values(), default=Fraction(0))
+    return max(weighted_path_profile(wg).values.values(), default=_ZERO)
 
 
 def weighted_ratio_terms(wg: WeightedGraph) -> tuple[int, dict[tuple[int, int], int]]:

@@ -558,8 +558,25 @@ _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
 }
 
 
+def check_weights(weights: str | WeightedGraph, seed: int | None, trials: int = 1) -> None:
+    """Random weights come with a seed and nothing else does, and trials is
+    >= 1 and other than 1 only for random weights: no setting goes unread."""
+    rand = weights == "random"
+    if rand and seed is None:
+        raise ValueError("--weights random requires --seed")
+    if seed is not None and not rand:
+        raise ValueError("--seed requires --weights random")
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    if trials != 1 and not rand:
+        raise ValueError("--trials requires --weights random")
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
+    """What a verify run checks.  The constructor is the one rule set for a
+    run: it raises ValueError with the message that the CLI prints."""
+
     theorems: tuple[str, ...]
     roots: str | int = "all"
     s_values: tuple[int, ...] = (2, 3, 4)
@@ -568,24 +585,22 @@ class CorpusConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        for thm in self.theorems:
+        for i, thm in enumerate(self.theorems):
             if thm not in _KIND:
-                raise ValueError(f"unknown theorem id {thm!r}")
-        if len(set(self.theorems)) != len(self.theorems):
-            raise ValueError(f"repeated theorem id in {self.theorems}")
-        if len(set(self.s_values)) != len(self.s_values):
-            raise ValueError(f"repeated clique order in {self.s_values}")
+                raise ValueError(f"unknown theorem {thm!r}; known: {', '.join(ALL_THEOREMS)}")
+            if thm in self.theorems[:i]:
+                raise ValueError(f"theorem {thm!r} given more than once")
+        s_values, s_list = self.s_values, ",".join(map(str, self.s_values))
+        if not s_values or min(s_values) < 1 or len(set(s_values)) < len(s_values):
+            raise ValueError(f"bad --s list {s_list!r}; expected distinct orders >= 1")
+        if {"gt-path", "gt-star"} & set(self.theorems) and min(s_values) < 2:
+            raise ValueError(f"gt-path and gt-star need --s values >= 2, got {s_list}")
         if self.roots != "all" and int(self.roots) < 0:
-            raise ValueError(f"root must be 'all' or >= 0, got {self.roots}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # a weight flag that no configured theorem reads would be dropped unread
+            raise ValueError(f"--roots must be 'all' or >= 0, got {self.roots}")
+        check_weights(self.weights, self.seed, self.trials)
         if self.weights == "random" and not set(WEIGHTED_THEOREMS) & set(self.theorems):
-            raise ValueError(f"random weights need one of {', '.join(WEIGHTED_THEOREMS)}")
-        if self.seed is not None and self.weights != "random":
-            raise ValueError("a seed needs random weights")
-        if self.trials != 1 and self.weights != "random":
-            raise ValueError(f"trials={self.trials} needs random weights")
+            weighted = ", ".join(WEIGHTED_THEOREMS)
+            raise ValueError(f"--weights random needs a weighted theorem: {weighted}")
 
 
 def weightings(
@@ -608,8 +623,7 @@ def weightings(
         return [(WeightedGraph.unit(g), "unit")]
     if weights != "random":
         raise ValueError(f"unknown weight mode {weights!r}")
-    if seed is None:
-        raise ValueError("random weights need a seed")
+    check_weights(weights, seed, trials)
     g6 = write_graph6(g)
     out = []
     for t in range(trials):
@@ -789,9 +803,10 @@ def verify_corpus(
     connected only), in enumeration order.  `weights`, `seed` and `trials`
     select the weightings of each graph, as in `weightings`.  Graphs are
     drawn one at a time and each graph's reports go to `on_report` before
-    the next is drawn; neither the corpus nor its reports are held.  A
-    failed self-check (RuntimeError) propagates after the earlier graphs'
-    reports have been passed on.  Output is deterministic.
+    the next is drawn; neither the corpus nor its reports are held.  A run
+    that CorpusConfig refuses raises its ValueError before any graph is
+    drawn; a failed self-check (RuntimeError) propagates after the earlier
+    graphs' reports have been passed on.  Output is deterministic.
     """
     cfg = CorpusConfig(
         theorems=tuple(theorems),

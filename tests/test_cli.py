@@ -1112,3 +1112,89 @@ def test_cli_import_loads_no_numpy(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# one rule set for a verify run
+
+KNOWN = ", ".join(verify.ALL_THEOREMS)
+
+# (CorpusConfig arguments, the verify flags that ask for the same run, the
+# message of both), one row per rule of CorpusConfig
+CONFIG_RULES = [
+    (dict(theorems=("nope",)), ["--theorem", "nope"],
+     f"unknown theorem 'nope'; known: {KNOWN}"),
+    (dict(theorems=("mt", "star", "mt")), ["--theorem", "mt,star", "--theorem", "mt"],
+     "theorem 'mt' given more than once"),
+    (dict(theorems=("delta",), s_values=(2, 2)), ["--theorem", "delta", "--s", "2, 2"],
+     "bad --s list '2,2'; expected distinct orders >= 1"),
+    (dict(theorems=("delta",), s_values=(3, 0)), ["--theorem", "delta", "--s", "3,0"],
+     "bad --s list '3,0'; expected distinct orders >= 1"),
+    (dict(theorems=("gt-star",), s_values=(2, 1)), ["--theorem", "gt-star", "--s", "2,1"],
+     "gt-path and gt-star need --s values >= 2, got 2,1"),
+    (dict(theorems=("local-bbrs",), roots=-2), ["--theorem", "local-bbrs", "--roots", "-2"],
+     "--roots must be 'all' or >= 0, got -2"),
+    (dict(theorems=("fmr",), weights="random"), ["--theorem", "fmr", "--weights", "random"],
+     "--weights random requires --seed"),
+    (dict(theorems=("fmr",), seed=4), ["--theorem", "fmr", "--seed", "4"],
+     "--seed requires --weights random"),
+    (dict(theorems=("fmr",), weights="random", seed=4, trials=0),
+     ["--theorem", "fmr", "--weights", "random", "--seed", "4", "--trials", "0"],
+     "--trials must be >= 1, got 0"),
+    (dict(theorems=("fmr",), trials=2), ["--theorem", "fmr", "--trials", "2"],
+     "--trials requires --weights random"),
+    (dict(theorems=("mt",), weights="random", seed=4),
+     ["--theorem", "mt", "--weights", "random", "--seed", "4"],
+     "--weights random needs a weighted theorem: weighted-mt, fmr, bondy-fan"),
+]
+
+
+@pytest.mark.parametrize("config, flags, message", CONFIG_RULES, ids=[
+    "unknown-theorem", "repeated-theorem", "repeated-s", "s-below-one", "gt-s-below-two",
+    "negative-root", "random-without-seed", "seed-without-random", "trials-below-one",
+    "trials-without-random", "random-without-weighted-theorem",
+])
+def test_verify_flags_and_corpus_config_share_each_rule(tmp_path, config, flags, message):
+    """CorpusConfig refuses a run with a message, and verify refuses the same
+    run with that message before it opens its output file."""
+    with pytest.raises(ValueError) as info:
+        verify.CorpusConfig(**config)
+    assert str(info.value) == message
+    target = tmp_path / "kept.txt"
+    target.write_text("earlier bytes\n")
+    code, out, err = run_cli(["verify", "--n", "3", *flags, "--output", str(target)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert target.read_text() == "earlier bytes\n"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["verify", "--theorem", "mt", "--n", "٣"], ""),
+    (["verify", "--theorem", "mt", "--n", "1-1_0"], ""),
+    (["verify", "--theorem", "fmr", "--n", "3", "--weights", "random", "--seed", "١"], ""),
+    (["verify", "--theorem", "fmr", "--n", "3", "--weights", "random", "--seed", "1",
+      "--trials", "٢"], ""),
+    (["verify", "--theorem", "delta", "--n", "3", "--s", "٢"], ""),
+    (["verify", "--theorem", "local-bbrs", "--n", "3", "--roots", "1_0"], ""),
+    (["stats", "--stat", "p_v", "--root", "٠"], "Bw\n"),
+    (["stats", "--stat", "p_S", "--s", "٢"], "Bw\n"),
+    (["closure", "--k", "٢"], "Bw\n"),
+    (["enumerate", "--n", "1_0"], ""),
+], ids=["verify-n", "verify-n-range", "seed", "trials", "verify-s", "roots",
+        "stats-root", "stats-s", "closure-k", "enumerate-n"])
+def test_every_command_line_integer_is_plain_decimal(argv, stdin):
+    """int() would read Unicode digits and underscores; a flag takes only
+    an optional sign and the digits 0-9, and the error names the text."""
+    code, out, err = run_cli(argv, stdin)
+    assert (code, out) == (2, "")
+    assert repr(argv[-1]) in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stat", "p", "--root", "3"], "--root applies only to --stat p_v"),
+    (["--stat", "p_S", "--root", "0"], "--root applies only to --stat p_v"),
+    (["--stat", "p", "--s", "3"], "--s applies only to --stat p_S or s_K"),
+    (["--stat", "p_v", "--root", "0", "--s", "2"], "--s applies only to --stat p_S or s_K"),
+], ids=["p-root", "p_S-root", "p-s", "p_v-s"])
+def test_stats_refuses_a_flag_its_stat_does_not_read(flags, message):
+    code, out, err = run_cli(["stats", *flags], "Bw\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -861,6 +861,26 @@ def test_unit_proof_hashes_no_fraction(monkeypatch):
     assert (hashed, built) == (0, classes) == (0, 1252)
 
 
+def test_unit_proof_builds_no_fraction_in_stats(monkeypatch):
+    """Over the n <= 7 JSON proof, stats.py builds no Fraction: the weighted
+    statistics compute on integer forms, and the 0 that max_weight_path
+    falls back to on an edgeless graph is built once, not once per class."""
+    built = 0
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += sys._getframe(1).f_globals["__name__"] == "locturan.stats"
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(sys, "stdout", DigestSink())
+    assert locturan.cli.main(list(PROOF_N7_ARGV)) == 0
+    monkeypatch.undo()
+    assert built == 0
+    assert max_weight_path(WeightedGraph.unit(Graph(3))) == 0
+
+
 def test_weighted_stats_reject_over_cap_graph():
     wg = WeightedGraph.unit(path_graph(13))
     for stat in (weighted_path_profile, max_weight_path, max_weight_cycle):

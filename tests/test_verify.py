@@ -700,9 +700,9 @@ def test_corpus_single_root_out_of_range_becomes_skip():
 
 def test_corpus_rejects_negative_root():
     for roots in (-1, "-3"):
-        with pytest.raises(ValueError, match="root must be 'all' or >= 0"):
+        with pytest.raises(ValueError, match="--roots must be 'all' or >= 0"):
             CorpusConfig(("local-bbrs",), roots=roots)
-        with pytest.raises(ValueError, match="root must be 'all' or >= 0"):
+        with pytest.raises(ValueError, match="--roots must be 'all' or >= 0"):
             verify_corpus(("local-bbrs",), ns=(3,), roots=roots)
 
 
@@ -717,27 +717,27 @@ def test_corpus_rejects_trials_below_one():
 
 
 def test_corpus_rejects_random_weights_that_no_theorem_reads():
-    with pytest.raises(ValueError, match="random weights need one of weighted-mt, fmr"):
+    with pytest.raises(ValueError, match="--weights random needs a weighted theorem: weighted-mt, fmr"):
         CorpusConfig(("mt", "star"), weights="random", seed=1)
-    with pytest.raises(ValueError, match="random weights need one of"):
+    with pytest.raises(ValueError, match="--weights random needs a weighted theorem"):
         verify_corpus(["mt"], [3], weights="random", seed=1)
 
 
 @pytest.mark.parametrize("weights", ["unit", WeightedGraph.unit(complete_graph(3))],
                          ids=["unit", "file"])
 def test_corpus_rejects_a_seed_without_random_weights(weights):
-    with pytest.raises(ValueError, match="a seed needs random weights"):
+    with pytest.raises(ValueError, match="--seed requires --weights random"):
         CorpusConfig(("fmr",), weights=weights, seed=1)
-    with pytest.raises(ValueError, match="a seed needs random weights"):
+    with pytest.raises(ValueError, match="--seed requires --weights random"):
         verify_corpus(("fmr",), graphs=[complete_graph(3)], weights=weights, seed=0)
 
 
 @pytest.mark.parametrize("weights", ["unit", WeightedGraph.unit(complete_graph(3))],
                          ids=["unit", "file"])
 def test_corpus_rejects_trials_without_random_weights(weights):
-    with pytest.raises(ValueError, match="trials=2 needs random weights"):
+    with pytest.raises(ValueError, match="--trials requires --weights random"):
         CorpusConfig(("fmr",), weights=weights, trials=2)
-    with pytest.raises(ValueError, match="trials=3 needs random weights"):
+    with pytest.raises(ValueError, match="--trials requires --weights random"):
         verify_corpus(("fmr",), graphs=[complete_graph(3)], weights=weights, trials=3)
 
 
@@ -847,17 +847,49 @@ def test_corpus_config_rejects_unknown_theorem():
 
 
 def test_corpus_rejects_repeated_theorem():
-    with pytest.raises(ValueError, match="repeated"):
+    with pytest.raises(ValueError, match="theorem 'mt' given more than once"):
         CorpusConfig(theorems=("mt", "star", "mt"))
     with pytest.raises(ValueError):
         verify_corpus(("mt", "mt"), ns=(3,))
 
 
 def test_corpus_config_rejects_repeated_clique_order():
-    with pytest.raises(ValueError, match="repeated clique order"):
+    with pytest.raises(ValueError, match="bad --s list '2,2'; expected distinct orders >= 1"):
         CorpusConfig(theorems=("delta",), s_values=(2, 2))
     with pytest.raises(ValueError):
         verify_corpus(("delta",), ns=(3,), s_values=(3, 2, 3))
+
+
+@pytest.mark.parametrize("theorem, s", [("gt-path", 1), ("gt-star", 1), ("delta", 0)])
+def test_corpus_rejects_a_clique_order_before_drawing_a_graph(theorem, s):
+    """The gt bounds need s >= 2 and every clique order is >= 1; the config
+    refuses a lower one even where no graph would reach its verifier."""
+    def corpus():
+        raise AssertionError("a graph was drawn")
+        yield
+
+    with pytest.raises(ValueError, match="--s"):
+        CorpusConfig((theorem,), s_values=(s,))
+    for graphs in ([], corpus()):
+        with pytest.raises(ValueError, match="--s"):
+            verify_corpus([theorem], graphs=graphs, s_values=(s,))
+
+
+def test_check_weights_is_the_one_weight_rule_set():
+    verify.check_weights("random", 3, trials=2)
+    verify.check_weights(WeightedGraph.unit(complete_graph(3)), None)
+    for args, message in [
+        (("random", None), "--weights random requires --seed"),
+        (("unit", 3), "--seed requires --weights random"),
+        (("random", 3, 0), "--trials must be >= 1, got 0"),
+        (("unit", None, 2), "--trials requires --weights random"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            verify.check_weights(*args)
+        assert str(info.value) == message
+        if args[0] == "random":
+            with pytest.raises(ValueError, match=message):
+                weightings(complete_graph(3), *args)
 
 
 def all_roots_dp_runs(monkeypatch) -> list:
